@@ -1,25 +1,27 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (§8), plus bechamel micro-benchmarks of the hot paths.
 
-     dune exec bench/main.exe              # everything
-     dune exec bench/main.exe table3 fig7  # selected experiments
+     dune exec bench/main.exe                          # everything
+     dune exec bench/main.exe table3 fig7              # selected experiments
+     dune exec bench/main.exe -- --jobs 2 table4       # parallel synthesis
 
    Experiments:
-     table1  errors vs mis-predictions per dataset (§5, Table 1)
-     table3  error-detection F1/MCC vs TANE/CTANE/FDX (Table 3)
-     table4  offline synthesis time (Table 4)
-     table5  mis-prediction detection P/R (Table 5)
-     table6  per-query guardrail vs inference time (Table 6)
-     table7  search space with and without the MEC (Table 7)
-     table8  auxiliary-sampler ablation (Table 8)
-     fig6    query-error rectification over 48 queries (Fig. 6)
-     fig7    epsilon sweep: coverage vs loss (Fig. 7)
-     optsmt  OptSMT clause blow-up and budgeted solve (§8.3)
-     micro   bechamel micro-benchmarks
-     serve   daemon throughput: concurrent clients vs pool size
-     groupby group-by kernel vs the retired ad-hoc Hashtbl paths
-     ingest  streaming appends: throughput, incremental maintenance,
-             refresh latency
+     table1      errors vs mis-predictions per dataset (§5, Table 1)
+     table3      error-detection F1/MCC vs TANE/CTANE/FDX (Table 3)
+     table4      offline synthesis time (Table 4)
+     table5      mis-prediction detection P/R (Table 5)
+     table6      per-query guardrail vs inference time (Table 6)
+     table7      search space with and without the MEC (Table 7)
+     table8      auxiliary-sampler ablation (Table 8)
+     fig6        query-error rectification over 48 queries (Fig. 6)
+     fig7        epsilon sweep: coverage vs loss (Fig. 7)
+     optsmt      OptSMT clause blow-up and budgeted solve (§8.3)
+     case_study  Adult query under corruption and rectification (App. F)
+     structure   PC+MEC vs BIC hill-climbing ablation
+     micro       bechamel micro-benchmarks
+
+   Performance is measured by the repository benchmark in perfbench/,
+   not here; this program only regenerates the paper's experiments.
 
    Scale note: ML-dependent experiments subsample the largest datasets
    (documented in EXPERIMENTS.md); structure-learning experiments run at
@@ -42,63 +44,13 @@ let fmt_score v = if Float.is_nan v then "  NaN" else Printf.sprintf "%5.3f" v
    job count, only the wall clock moves. *)
 let jobs = ref Guardrail.Config.default.Guardrail.Config.jobs
 
-(* ------------------------------------------------------------------ *)
-(* Workload knobs: CLI flag > env var > default. The env vars are the
-   historical interface and stay as fallbacks; the flags are the
-   documented one. Every resolved value lands in the run fingerprint
-   (Perf.Result.fingerprint), so a run under moved knobs can never be
-   silently compared against a baseline recorded under the defaults. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let flag_validate_sizes : int list option ref = ref None
-let flag_serve_clients : int option ref = ref None
-let flag_serve_seconds : float option ref = ref None
-let flag_serve_rows : int option ref = ref None
-let flag_serve_batch : int option ref = ref None
-let flag_groupby_reps : int option ref = ref None
-let flag_synth_reps : int option ref = ref None
-let flag_numeric_bins : int option ref = ref None
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s ->
-    (match int_of_string_opt s with Some v when v >= 1 -> v | _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s ->
-    (match float_of_string_opt s with Some v when v > 0.0 -> v | _ -> default)
-  | None -> default
-
-let knob_int flag env default =
-  match !flag with Some v -> v | None -> env_int env default
-
-let knob_float flag env default =
-  match !flag with Some v -> v | None -> env_float env default
-
-let parse_sizes s = List.filter_map int_of_string_opt (String.split_on_char ',' s)
-
-let validate_sizes ~default () =
-  match !flag_validate_sizes with
-  | Some sizes -> sizes
-  | None -> (
-    match Sys.getenv_opt "VALIDATE_SIZES" with
-    | Some s -> (match parse_sizes s with [] -> default | sizes -> sizes)
-    | None -> default)
-
-let serve_clients () = knob_int flag_serve_clients "SERVE_CLIENTS" 100
-let serve_seconds ~default () = knob_float flag_serve_seconds "SERVE_SECONDS" default
-let serve_rows () = knob_int flag_serve_rows "SERVE_ROWS" 100
-let serve_batch () = knob_int flag_serve_batch "SERVE_BATCH" 8
-let groupby_reps () = knob_int flag_groupby_reps "GROUPBY_REPS" 10
-let synth_reps () = knob_int flag_synth_reps "SYNTH_REPS" 3
-let numeric_bins () = knob_int flag_numeric_bins "NUMERIC_BINS" 8
-
-(* the gate profile: what [bench record] / [bench compare] run with no
-   flags, locally and in CI alike *)
-let gate_validate_sizes = [ 10_000; 50_000 ]
-let gate_serve_seconds = 1.5
-let gate_synth_datasets = [ 2; 5; 7 ]
+(* [time f] is [f ()] paired with its wall time in seconds *)
+let time f =
+  let t0 = now_s () in
+  let r = f () in
+  (r, now_s () -. t0)
 
 let header title =
   Printf.printf "\n=== %s %s\n%!" title
@@ -339,26 +291,11 @@ let table4 () =
     if jobs > 1 then Some (Runtime.Pool.create ~size:jobs ()) else None
   in
   let run_with ?pool frame = Synthesize.run ?pool frame in
-  let records = ref [] in
   List.iter
     (fun spec ->
       let p = prepare spec.Spec.id in
       let r = run_with ?pool p.full in
       let t = r.Synthesize.timing in
-      records :=
-        Obs.Json.Obj
-          [ ("id", Obs.Json.Num (float_of_int spec.Spec.id));
-            ("name", Obs.Json.Str spec.Spec.name);
-            ("n_attrs", Obs.Json.Num (float_of_int spec.Spec.n_attrs));
-            ("total_s", Obs.Json.Num (Synthesize.total_time t));
-            ("sampling_s", Obs.Json.Num t.Synthesize.sampling_s);
-            ("structure_s", Obs.Json.Num t.Synthesize.structure_s);
-            ("enumeration_s", Obs.Json.Num t.Synthesize.enumeration_s);
-            ("fill_s", Obs.Json.Num t.Synthesize.fill_s);
-            ("cache_hits", Obs.Json.Num (float_of_int r.Synthesize.cache_hits));
-            ( "cache_misses",
-              Obs.Json.Num (float_of_int r.Synthesize.cache_misses) ) ]
-        :: !records;
       Printf.printf
         "%-4d %-7d %11.3f %11.3f %11.3f %11.3f %11.3f %8d%% %7.2fx\n%!"
         spec.Spec.id spec.Spec.n_attrs (Synthesize.total_time t)
@@ -368,16 +305,6 @@ let table4 () =
          if total = 0 then 0 else 100 * r.Synthesize.cache_hits / total)
         (Synthesize.structure_speedup t))
     Spec.all;
-  (* machine-readable per-phase timings (phase totals are span-derived) *)
-  let oc = open_out "BENCH_synth.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("jobs", Obs.Json.Num (float_of_int jobs));
-            ("datasets", Obs.Json.List (List.rev !records)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "per-phase timings written to BENCH_synth.json\n%!";
   (* parallel-vs-sequential check on the largest Table 2 dataset: the
      programs must be bit-identical; the wall clock is the benchmark *)
   (match pool with
@@ -392,7 +319,6 @@ let table4 () =
      Printf.printf
        "\nDeterminism + speedup check on %s (%d rows), jobs 1 vs %d:\n%!"
        largest.Spec.name largest.Spec.n_rows jobs;
-     let time f = Perf.Measure.time1 f in
      let seq, seq_s = time (fun () -> run_with p.full) in
      let par, par_s = time (fun () -> run_with ~pool p.full) in
      let same_prog =
@@ -616,7 +542,7 @@ let table7 () =
       let cols = Synthesize.eligible_columns p.full in
       let cpdag = Synthesize.learn_cpdag p.full cols in
       let (count, truncated), dt =
-        Perf.Measure.time1 (fun () ->
+        time (fun () ->
             Pgm.Enumerate.count_extensions ~max_dags:100_000 cpdag)
       in
       let ms = 1000.0 *. dt in
@@ -824,7 +750,6 @@ let structure () =
           Frame.take p.full (Array.init 8000 (fun i -> i))
         else p.full
       in
-      let time f = Perf.Measure.time1 f in
       let pc, pc_t = time (fun () -> Synthesize.run frame) in
       let hc, hc_t =
         time (fun () ->
@@ -901,1114 +826,6 @@ let micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* Serving throughput: hundreds of concurrent pipelining clients
-   hammering DETECT over a pre-loaded dataset.
-
-   Two server designs are driven with the identical client fleet:
-   - "event": the event-driven readiness loop (Server.run), at pool
-     sizes 1/2/4/8;
-   - "blocking": a reconstruction of the retired design — one blocking
-     connection per pool domain, so at most [pool] of the N clients are
-     ever served concurrently; the rest starve until their receive
-     timeout.
-
-   Every client keeps a batch of pipelined DETECTs in flight
-   (Client.pipeline: one write, replies in order), so the event loop's
-   amortised syscalls and admission control are what is measured, not
-   accept latency. Results go to BENCH_serve.json for the CI gate.
-
-   Knobs: SERVE_CLIENTS (100), SERVE_SECONDS (2.0), SERVE_ROWS (1000),
-   SERVE_BATCH (8). The row count is chosen so one DETECT costs tens of
-   microseconds — long enough to be real work, short enough that
-   per-request syscall overhead is visible. *)
-
-type serve_run = {
-  design : string;
-  pool : int;
-  ok : int;
-  shed : int;
-  errors : int;
-  elapsed_s : float;
-  p50_ms : float;
-  p99_ms : float;
-}
-
-(* Drive [n_clients] pipelining clients (threads spread over a few
-   domains) against [addr] until [seconds] elapse. Returns per-fleet
-   totals; a client that cannot connect or whose reads time out simply
-   stops scoring — starvation shows up as missing throughput, never as
-   a hang. *)
-let drive_clients ~addr ~n_clients ~seconds ~batch =
-  let oks = Array.make n_clients 0
-  and sheds = Array.make n_clients 0
-  and errors = Array.make n_clients 0
-  and latencies = Array.make n_clients [] in
-  let deadline = Perf.Measure.now_s () +. seconds in
-  let run_client i =
-    try
-      Service.Client.with_connection ~timeout_s:(seconds +. 1.0) addr
-        (fun c ->
-          let reqs =
-            List.init batch (fun _ ->
-                Service.Protocol.Detect { table = "data"; csv = None })
-          in
-          while Perf.Measure.now_s () < deadline do
-            let t0 = Perf.Measure.now_s () in
-            let resps = Service.Client.pipeline c reqs in
-            latencies.(i) <- (Perf.Measure.now_s () -. t0) :: latencies.(i);
-            List.iter
-              (function
-                | Service.Client.Reply (Service.Protocol.Detections _) ->
-                  oks.(i) <- oks.(i) + 1
-                | Service.Client.Busy -> sheds.(i) <- sheds.(i) + 1
-                | Service.Client.Reply _ -> errors.(i) <- errors.(i) + 1)
-              resps
-          done)
-    with _ -> ()  (* receive timeout / refused connect: score stands *)
-  in
-  let n_domains = min 4 n_clients in
-  let t0 = Perf.Measure.now_s () in
-  let domains =
-    List.init n_domains (fun d ->
-        Domain.spawn (fun () ->
-            let mine = ref [] in
-            let i = ref d in
-            while !i < n_clients do
-              mine := Thread.create run_client !i :: !mine;
-              i := !i + n_domains
-            done;
-            List.iter Thread.join !mine))
-  in
-  List.iter Domain.join domains;
-  let elapsed = Perf.Measure.now_s () -. t0 in
-  let sum a = Array.fold_left ( + ) 0 a in
-  let all = Array.to_list latencies |> List.concat |> Array.of_list in
-  Array.sort compare all;
-  let percentile p =
-    let n = Array.length all in
-    if n = 0 then 0.0
-    else all.(max 0 (min (n - 1) (int_of_float (p /. 100.0 *. float_of_int n))))
-  in
-  ( sum oks,
-    sum sheds,
-    sum errors,
-    elapsed,
-    1e3 *. percentile 50.0,
-    1e3 *. percentile 99.0 )
-
-(* The retired serving design, reconstructed for the comparison: a
-   polling accept loop handing each connection to a pool job that
-   blocks in read_frame -> handle_request -> write_frame until the peer
-   closes. Dispatch goes through Server.handle_request, so both designs
-   execute the exact same request path. *)
-let blocking_design ~pool_size ~registry ~n_clients ~seconds ~batch =
-  let config = Service.Server.Config.make ~pool_size:1 () in
-  let server = Service.Server.create ~config registry in
-  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen Unix.SO_REUSEADDR true;
-  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen listen (2 * n_clients);  (* every client must get through *)
-  let addr = Unix.getsockname listen in
-  let pool = Service.Pool.create ~size:pool_size () in
-  let stop = Atomic.make false in
-  let handle_conn fd =
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let rec loop () =
-      match Service.Protocol.read_frame fd with
-      | None -> ()
-      | Some payload ->
-        let resp =
-          match Service.Protocol.decode_request payload with
-          | req ->
-            (* the retired design recorded per-request metrics inline;
-               keep that cost in the baseline so the comparison is fair *)
-            let t0 = Perf.Measure.now_s () in
-            let resp = Service.Server.handle_request server req in
-            let ok =
-              match resp with Service.Protocol.Error_reply _ -> false | _ -> true
-            in
-            Service.Metrics.record
-              (Service.Server.metrics server)
-              ~command:(Service.Protocol.request_command req)
-              ~ok ~seconds:(Perf.Measure.now_s () -. t0);
-            resp
-          | exception Service.Protocol.Error msg -> Service.Protocol.Error_reply msg
-        in
-        Service.Protocol.write_frame fd (Service.Protocol.encode_response resp);
-        loop ()
-      | exception _ -> ()
-    in
-    Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) loop
-  in
-  let acceptor =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          match Unix.select [ listen ] [] [] 0.05 with
-          | [], _, _ -> ()
-          | _ :: _, _, _ ->
-            (match Unix.accept listen with
-             | fd, _ -> Service.Pool.post pool (fun () -> handle_conn fd)
-             | exception Unix.Unix_error _ -> ())
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done)
-  in
-  let ok, shed, errors, elapsed, p50, p99 =
-    drive_clients ~addr ~n_clients ~seconds ~batch
-  in
-  Atomic.set stop true;
-  Domain.join acceptor;
-  (try Unix.close listen with _ -> ());
-  Service.Pool.shutdown pool;
-  Service.Server.shutdown server;
-  { design = "blocking"; pool = pool_size; ok; shed; errors;
-    elapsed_s = elapsed; p50_ms = p50; p99_ms = p99 }
-
-let event_design ~pool_size ~registry ~n_clients ~seconds ~batch =
-  let config =
-    (* budgets sized so a well-behaved client is never refused; the
-       shed counters still surface any overload in BENCH_serve.json *)
-    Service.Server.Config.make ~pool_size ~max_connections:(2 * n_clients)
-      ~max_inflight:(2 * batch)
-      ~max_inflight_global:(max 256 (2 * n_clients * batch))
-      ()
-  in
-  let server = Service.Server.create ~config registry in
-  let addr =
-    Service.Server.bind server (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
-  in
-  let runner = Domain.spawn (fun () -> Service.Server.run server) in
-  let ok, shed, errors, elapsed, p50, p99 =
-    drive_clients ~addr ~n_clients ~seconds ~batch
-  in
-  Service.Server.stop server;
-  Domain.join runner;
-  { design = "event"; pool = pool_size; ok; shed; errors;
-    elapsed_s = elapsed; p50_ms = p50; p99_ms = p99 }
-
-let serve_bench ?(seconds_default = 2.0) () =
-  header "Serving throughput (guardrail daemon)";
-  let n_clients = serve_clients () in
-  let seconds = serve_seconds ~default:seconds_default () in
-  (* Small table on purpose: this bench measures the serving stack
-     (framing, scheduling, admission, syscalls), so per-request
-     constraint evaluation must stay cheap — validation compute has its
-     own sections above. Raise --serve-rows to shift the mix. *)
-  let rows_wanted = serve_rows () in
-  let batch = serve_batch () in
-  let p = prepare 2 in
-  let rows = min rows_wanted (Frame.nrows p.full) in
-  let frame = Frame.take p.full (Array.init rows (fun i -> i)) in
-  let synth = Synthesize.run frame in
-  let program = Guardrail.Pretty.prog_to_string synth.Synthesize.program in
-  Printf.printf
-    "  %s: %d rows, %d statement(s); %d pipelining clients (batch %d), %.1fs \
-     per run (%d cores)\n%!"
-    p.spec.Spec.name rows
-    (Guardrail.Dsl.stmt_count synth.Synthesize.program)
-    n_clients batch seconds
-    (Domain.recommended_domain_count ());
-  let fresh_registry () =
-    let registry = Service.Registry.create () in
-    let (_ : Service.Registry.entry) =
-      Service.Registry.load registry ~name:"data" ~program frame
-    in
-    registry
-  in
-  let report r =
-    let total = r.ok + r.shed + r.errors in
-    let shed_rate =
-      if total = 0 then 0.0 else float_of_int r.shed /. float_of_int total
-    in
-    Printf.printf
-      "  %-8s pool %d: %6d ok %6d shed %4d err in %5.2fs -> %8.1f req/s  \
-       p50 %6.2fms  p99 %6.2fms\n%!"
-      r.design r.pool r.ok r.shed r.errors r.elapsed_s
-      (float_of_int r.ok /. r.elapsed_s)
-      r.p50_ms r.p99_ms;
-    ignore shed_rate
-  in
-  let runs = ref [] in
-  List.iter
-    (fun pool_size ->
-      let r =
-        event_design ~pool_size ~registry:(fresh_registry ()) ~n_clients
-          ~seconds ~batch
-      in
-      report r;
-      runs := r :: !runs)
-    [ 1; 2; 4; 8 ];
-  List.iter
-    (fun pool_size ->
-      let r =
-        blocking_design ~pool_size ~registry:(fresh_registry ()) ~n_clients
-          ~seconds ~batch
-      in
-      report r;
-      runs := r :: !runs)
-    [ 8 ];
-  let num v = Obs.Json.Num v in
-  let run_json r =
-    let total = r.ok + r.shed + r.errors in
-    Obs.Json.Obj
-      [ ("design", Obs.Json.Str r.design);
-        ("pool", num (float_of_int r.pool));
-        ("requests_ok", num (float_of_int r.ok));
-        ("shed", num (float_of_int r.shed));
-        ("errors", num (float_of_int r.errors));
-        ("elapsed_s", num r.elapsed_s);
-        ("rps", num (float_of_int r.ok /. r.elapsed_s));
-        ("p50_ms", num r.p50_ms);
-        ("p99_ms", num r.p99_ms);
-        ("shed_rate",
-         num
-           (if total = 0 then 0.0
-            else float_of_int r.shed /. float_of_int total)) ]
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("clients", num (float_of_int n_clients));
-            ("seconds", num seconds);
-            ("batch", num (float_of_int batch));
-            ("rows", num (float_of_int rows));
-            ("runs", Obs.Json.List (List.rev_map run_json !runs)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "serving results written to BENCH_serve.json\n%!";
-  (* unified metrics. Raw throughput is machine-dependent, so its gate
-     is a generous relative tolerance plus a serve-something floor; the
-     hard liveness gate rides on nonshed_rate (the retired inline smoke
-     assert: an event run must not shed its whole load). *)
-  let metric = Perf.Result.metric ~suite:"serve" in
-  List.concat_map
-    (fun r ->
-      let workload = Printf.sprintf "%s-pool%d" r.design r.pool in
-      let metric = metric ~workload in
-      let total = r.ok + r.shed + r.errors in
-      let shed_rate =
-        if total = 0 then 1.0 else float_of_int r.shed /. float_of_int total
-      in
-      let event = String.equal r.design "event" in
-      [ metric ~name:"rps"
-          ~value:(float_of_int r.ok /. r.elapsed_s)
-          ~unit_:"req/s" ~direction:Perf.Result.Higher_better ~gated:event
-          ~tolerance:0.95 ~bound:1.0 ();
-        metric ~name:"nonshed_rate" ~value:(1.0 -. shed_rate) ~unit_:"rate"
-          ~direction:Perf.Result.Higher_better ~gated:event ~tolerance:1.0
-          ~bound:0.01 ();
-        metric ~name:"p50_ms" ~value:r.p50_ms ~unit_:"ms" ();
-        metric ~name:"p99_ms" ~value:r.p99_ms ~unit_:"ms" () ])
-    (List.rev !runs)
-  @
-  (* event-vs-blocking ratio at the shared pool size: the PR-7 claim,
-     tracked as a trajectory rather than hard-gated (loopback schedulers
-     on small CI boxes make it jittery) *)
-  let rps r = float_of_int r.ok /. r.elapsed_s in
-  match
-    ( List.find_opt (fun r -> r.design = "event" && r.pool = 8) !runs,
-      List.find_opt (fun r -> r.design = "blocking" && r.pool = 8) !runs )
-  with
-  | Some e, Some b when rps b > 0.0 ->
-    [ metric ~workload:"pool8" ~name:"event_vs_blocking_rps" ~value:(rps e /. rps b)
-        ~unit_:"x" ~direction:Perf.Result.Higher_better () ]
-  | _ -> []
-
-(* ------------------------------------------------------------------ *)
-(* Group-by kernel: retired ad-hoc Hashtbl grouping vs Dataframe.Group *)
-
-let groupby_bench () =
-  header "Group-by kernel: ad-hoc Hashtbl vs kernel (cold / cached)";
-  let reps = groupby_reps () in
-  (* min-of-N; the cached path is a lookup in the hundreds of
-     nanoseconds, so it is batched behind the clock reads *)
-  let time ?(inner = 1) f =
-    (Perf.Measure.run ~warmup:2 ~reps ~inner f).Perf.Measure.min_s
-  in
-  (* the grouping style this kernel replaced: a Hashtbl from the row's
-     composite key to its accumulated row list (Fill/Auxdist pre-kernel) *)
-  let adhoc codes cols n () =
-    let tbl : (int list, int list ref) Hashtbl.t = Hashtbl.create 256 in
-    for i = 0 to n - 1 do
-      let key = List.map (fun j -> codes.(j).(i)) cols in
-      match Hashtbl.find_opt tbl key with
-      | Some r -> r := i :: !r
-      | None -> Hashtbl.add tbl key (ref [ i ])
-    done;
-    Hashtbl.length tbl
-  in
-  Printf.printf "  %-18s %-14s %7s %10s %10s %10s %8s\n" "dataset" "columns"
-    "groups" "adhoc(ms)" "cold(ms)" "cached(ms)" "speedup";
-  let records = ref [] in
-  let metrics = ref [] in
-  List.iter
-    (fun id ->
-      let p = prepare id in
-      let frame = p.full in
-      let n = Frame.nrows frame in
-      let codes = Frame.code_matrix frame in
-      let cards = Frame.cardinalities frame in
-      let cats = Frame.categorical_indices frame in
-      (* adjacent categorical pairs: the shape Fill groups by *)
-      let rec pairs = function
-        | a :: (b :: _ as rest) -> [ a; b ] :: pairs rest
-        | _ -> []
-      in
-      let col_sets = pairs cats in
-      let cache = Dataframe.Group.Cache.of_frame frame in
-      (* warm the cache once: steady-state synthesis re-requests sets *)
-      List.iter
-        (fun cols -> ignore (Dataframe.Group.Cache.get cache cols))
-        col_sets;
-      let adhoc_total = ref 0.0 and cold_total = ref 0.0 in
-      let cached_total = ref 0.0 and min_speedup = ref Float.infinity in
-      let log_speedup_sum = ref 0.0 and n_workloads = ref 0 in
-      List.iter
-        (fun cols ->
-          let col_list = List.map (fun j -> codes.(j)) cols in
-          let card_list = List.map (fun j -> cards.(j)) cols in
-          let adhoc_s = time (adhoc codes cols n) in
-          let cold_s =
-            time (fun () -> Dataframe.Group.make col_list card_list n)
-          in
-          let cached_s =
-            time ~inner:100 (fun () -> Dataframe.Group.Cache.get cache cols)
-          in
-          adhoc_total := !adhoc_total +. adhoc_s;
-          cold_total := !cold_total +. cold_s;
-          cached_total := !cached_total +. cached_s;
-          (if cached_s > 0.0 then begin
-             let sp = adhoc_s /. cached_s in
-             min_speedup := Float.min !min_speedup sp;
-             log_speedup_sum := !log_speedup_sum +. Float.log sp;
-             incr n_workloads
-           end);
-          let g = Dataframe.Group.Cache.get cache cols in
-          let label =
-            String.concat "," (List.map string_of_int cols)
-          in
-          Printf.printf "  %-18s %-14s %7d %10.3f %10.3f %10.4f %7.1fx\n%!"
-            p.spec.Spec.name label
-            (Dataframe.Group.n_groups g)
-            (adhoc_s *. 1e3) (cold_s *. 1e3) (cached_s *. 1e3)
-            (if cached_s > 0.0 then adhoc_s /. cached_s else Float.infinity);
-          records :=
-            Obs.Json.Obj
-              [ ("id", Obs.Json.Num (float_of_int id));
-                ("name", Obs.Json.Str p.spec.Spec.name);
-                ("columns", Obs.Json.Str label);
-                ("n_rows", Obs.Json.Num (float_of_int n));
-                ( "n_groups",
-                  Obs.Json.Num (float_of_int (Dataframe.Group.n_groups g)) );
-                ("adhoc_s", Obs.Json.Num adhoc_s);
-                ("kernel_cold_s", Obs.Json.Num cold_s);
-                ("kernel_cached_s", Obs.Json.Num cached_s) ]
-            :: !records)
-        col_sets;
-      (* unified per-dataset metrics; the gated one is the retired
-         smoke assert (every cached workload beats ad-hoc, bound 1.0)
-         made baseline-relative on top *)
-      let metric = Perf.Result.metric ~suite:"groupby"
-          ~workload:(Printf.sprintf "ds%d" id) in
-      metrics :=
-        [ metric ~name:"adhoc_total_s" ~value:!adhoc_total ~unit_:"s" ();
-          metric ~name:"kernel_cold_total_s" ~value:!cold_total ~unit_:"s" ();
-          metric ~name:"kernel_cached_total_s" ~value:!cached_total ~unit_:"s" ();
-          metric ~name:"min_cached_speedup"
-            ~value:(if !n_workloads = 0 then 0.0 else !min_speedup) ~unit_:"x"
-            ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.9
-            ~bound:1.0 ();
-          metric ~name:"geomean_cached_speedup"
-            ~value:
-              (if !n_workloads = 0 then 0.0
-               else Float.exp (!log_speedup_sum /. float_of_int !n_workloads))
-            ~unit_:"x" ~direction:Perf.Result.Higher_better () ]
-        @ !metrics)
-    [ 2; 5; 7 ];
-  let oc = open_out "BENCH_group.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("reps", Obs.Json.Num (float_of_int reps));
-            ("workloads", Obs.Json.List (List.rev !records)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "group-by timings written to BENCH_group.json\n%!";
-  List.rev !metrics
-
-(* ------------------------------------------------------------------ *)
-(* Validator: row-at-a-time interpreter vs the predicate-bytecode VM,
-   cold (compile + lower + execute) and cached (bytecode reused), at
-   10k / 100k / 1M rows. Writes BENCH_validate.json for the CI gate. *)
-
-let validate_bench ?(sizes_default = [ 10_000; 100_000; 1_000_000 ]) () =
-  header "Validator: row interpreter vs predicate-bytecode VM";
-  (* postal-style determinacy chain with controllable cardinality: zip
-     decides city, city decides state, (zip, city) decides country. The
-     pair cardinality product exceeds the mixed-radix cap, so the third
-     statement exercises the hashed decision-table path. *)
-  let n_zip = 500 and n_city = 140 and n_state = 25 in
-  let zip_name z = Printf.sprintf "%05d" (10_000 + z) in
-  let city_name c = Printf.sprintf "city%d" c in
-  let state_name s = Printf.sprintf "st%d" s in
-  let city_of z = z mod n_city in
-  let state_of c = c mod n_state in
-  let country_of z c = if (z + c) mod 2 = 0 then "USA" else "EU" in
-  let schema =
-    Dataframe.Schema.make
-      [ Dataframe.Schema.categorical "zip"; Dataframe.Schema.categorical "city";
-        Dataframe.Schema.categorical "state";
-        Dataframe.Schema.categorical "country" ]
-  in
-  let make_frame n =
-    let rng = Stat.Rng.create 42 in
-    let zips = Array.init n (fun _ -> Stat.Rng.int rng n_zip) in
-    let corrupt p v alt = if Stat.Rng.float rng < p then alt else v in
-    let cities =
-      Array.map
-        (fun z -> corrupt 0.005 (city_of z) ((city_of z + 1) mod n_city))
-        zips
-    in
-    let states =
-      Array.map
-        (fun c -> corrupt 0.003 (state_of c) ((state_of c + 1) mod n_state))
-        cities
-    in
-    let col f xs =
-      Dataframe.Column.of_values (Array.map (fun x -> Value.String (f x)) xs)
-    in
-    let countries =
-      Array.init n (fun i -> Value.String (country_of zips.(i) cities.(i)))
-    in
-    Frame.of_columns schema
-      [ col zip_name zips; col city_name cities; col state_name states;
-        Dataframe.Column.of_values countries ]
-  in
-  let prog =
-    let eq attr v = Guardrail.Dsl.eq attr (Value.String v) in
-    let b condition assignment =
-      Guardrail.Dsl.branch ~condition
-        ~assignment:(Guardrail.Dsl.Eq (Value.String assignment))
-    in
-    let zip_city =
-      Guardrail.Dsl.stmt ~given:[ 0 ] ~on:1
-        ~branches:
-          (List.init n_zip (fun z ->
-               b [ eq 0 (zip_name z) ] (city_name (city_of z))))
-    in
-    let city_state =
-      Guardrail.Dsl.stmt ~given:[ 1 ] ~on:2
-        ~branches:
-          (List.init n_city (fun c ->
-               b [ eq 1 (city_name c) ] (state_name (state_of c))))
-    in
-    let pair_country =
-      Guardrail.Dsl.stmt ~given:[ 0; 1 ] ~on:3
-        ~branches:
-          (List.init n_zip (fun z ->
-               b
-                 [ eq 0 (zip_name z); eq 1 (city_name (city_of z)) ]
-                 (country_of z (city_of z))))
-    in
-    Guardrail.Dsl.prog ~schema [ zip_city; city_state; pair_country ]
-  in
-  let sizes = validate_sizes ~default:sizes_default () in
-  let time reps f =
-    (Perf.Measure.run ~warmup:1 ~reps f).Perf.Measure.min_s
-  in
-  Printf.printf
-    "  %-9s %9s %11s %11s %11s %8s | %11s %11s %8s\n" "rows" "viol"
-    "rows(ms)" "vm-cold(ms)" "vm-hot(ms)" "speedup" "h-rows(ms)" "h-vm(ms)"
-    "speedup";
-  let records = ref [] in
-  let metrics = ref [] in
-  List.iter
-    (fun n ->
-      let reps = if n >= 1_000_000 then 1 else if n >= 100_000 then 3 else 5 in
-      let frame = make_frame n in
-      let compiled = Validator.compile prog in
-      (* correctness first: the bitmap path must equal the reference *)
-      let flags_rows = Validator.detect_rows compiled frame in
-      let flags_vm = Validator.detect compiled frame in
-      if flags_rows <> flags_vm then begin
-        Printf.eprintf "VM/row-interpreter divergence at %d rows\n" n;
-        exit 1
-      end;
-      let n_viol =
-        Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 flags_rows
-      in
-      let rows_s = time reps (fun () -> Validator.detect_rows compiled frame) in
-      let cold_s =
-        time reps (fun () ->
-            (* a fresh compilation lowers the bytecode from scratch *)
-            Validator.detect (Validator.compile prog) frame)
-      in
-      let hot_s = time reps (fun () -> Validator.detect compiled frame) in
-      (* batch repair: the row path folds one whole-frame copy per
-         violation, so it is only measured at the smaller sizes *)
-      let handle_rows_s, handle_vm_s =
-        if n > 100_000 then (Float.nan, Float.nan)
-        else
-          ( time reps (fun () ->
-                Validator.handle_rows ~strategy:Validator.Rectify compiled frame),
-            time reps (fun () ->
-                Validator.handle ~strategy:Validator.Rectify compiled frame) )
-      in
-      let speedup a b = if b > 0.0 then a /. b else Float.infinity in
-      let handle_cells =
-        if Float.is_nan handle_rows_s then
-          Printf.sprintf "%11s %11s %8s" "-" "-" "-"
-        else
-          Printf.sprintf "%11.2f %11.2f %7.1fx" (handle_rows_s *. 1e3)
-            (handle_vm_s *. 1e3)
-            (speedup handle_rows_s handle_vm_s)
-      in
-      Printf.printf "  %-9d %9d %11.2f %11.2f %11.2f %7.1fx | %s\n%!" n n_viol
-        (rows_s *. 1e3) (cold_s *. 1e3) (hot_s *. 1e3) (speedup rows_s hot_s)
-        handle_cells;
-      let num v = Obs.Json.Num v in
-      records :=
-        Obs.Json.Obj
-          ([ ("n_rows", num (float_of_int n));
-             ("reps", num (float_of_int reps));
-             ("violating_rows", num (float_of_int n_viol));
-             ("detect_rows_s", num rows_s);
-             ("detect_vm_cold_s", num cold_s);
-             ("detect_vm_cached_s", num hot_s);
-             ("detect_speedup", num (speedup rows_s hot_s)) ]
-          @
-          if Float.is_nan handle_rows_s then []
-          else
-            [ ("handle_rows_s", num handle_rows_s);
-              ("handle_vm_s", num handle_vm_s);
-              ("handle_speedup", num (speedup handle_rows_s handle_vm_s)) ])
-        :: !records;
-      (* unified metrics: raw timings ride along ungated; the
-         dimensionless VM-vs-interpreter speedups are the gates
-         (bound 1.0 = the retired "VM must not lose" smoke assert) *)
-      let metric = Perf.Result.metric ~suite:"validate"
-          ~workload:(Printf.sprintf "rows=%d" n) in
-      metrics :=
-        [ metric ~name:"detect_rows_s" ~value:rows_s ~unit_:"s" ();
-          metric ~name:"detect_vm_cold_s" ~value:cold_s ~unit_:"s" ();
-          metric ~name:"detect_vm_cached_s" ~value:hot_s ~unit_:"s" ();
-          metric ~name:"detect_speedup" ~value:(speedup rows_s hot_s)
-            ~unit_:"x" ~direction:Perf.Result.Higher_better ~gated:true
-            ~tolerance:0.85 ~bound:1.0 () ]
-        @ (if Float.is_nan handle_rows_s then []
-           else
-             [ metric ~name:"handle_rows_s" ~value:handle_rows_s ~unit_:"s" ();
-               metric ~name:"handle_vm_s" ~value:handle_vm_s ~unit_:"s" ();
-               metric ~name:"handle_speedup"
-                 ~value:(speedup handle_rows_s handle_vm_s) ~unit_:"x"
-                 ~direction:Perf.Result.Higher_better ~gated:true
-                 ~tolerance:0.85 ~bound:1.0 () ])
-        @ !metrics)
-    sizes;
-  let oc = open_out "BENCH_validate.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj [ ("sizes", Obs.Json.List (List.rev !records)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "validator timings written to BENCH_validate.json\n%!";
-  List.rev !metrics
-
-(* ------------------------------------------------------------------ *)
-(* Numeric/typed-domain suite: range constraints over the mixed
-   categorical/numeric dataset. Two halves:
-
-   - range validation at 50k rows against a ground-truth range program
-     (one BETWEEN/Le/Ge branch per category), row interpreter vs the
-     VM's RANGE ops over the raw float image. The gated speedup (bound
-     1.0) is the point of the range bytecode path: falling under 1.0
-     means the VM lost to the interpreter on its own workload;
-   - end-to-end synthesis on a smaller replica, gating the
-     deterministic outputs — a BETWEEN assignment covering a planted
-     clean range must be emitted, and coverage must hold. Zero
-     measurement noise on either, so any drift is a real change.
-
-   The learned-bin count is a knob (--numeric-bins / NUMERIC_BINS) and
-   lands in the gate fingerprint like every other workload shaper. *)
-
-let numeric_bench () =
-  header "Numeric domains: range validation + BETWEEN synthesis";
-  let bins = numeric_bins () in
-  let n_validate = 50_000 and n_synth = 1_500 in
-  (* many categories on the validation half: the interpreter scans the
-     branch list per row while the VM dispatches on the key codes, so
-     this is the workload the range bytecode exists for (and, past
-     max_range_rules, it exercises the probe-table path) *)
-  let n_validate_categories = 24 and n_synth_categories = 4 in
-  let frame, truth =
-    Datagen.Numeric.mixed ~n_rows:n_validate ~n_categories:n_validate_categories
-      ~seed:11 ()
-  in
-  let frame = Frame.learn_domains ~bins frame in
-  let schema = Frame.schema frame in
-  let prog =
-    (* the ground-truth program: each category's planted clean range as
-       a BETWEEN assignment *)
-    let branches =
-      List.init n_validate_categories (fun j ->
-          let lo, hi = truth.Datagen.Numeric.ranges.(j) in
-          Guardrail.Dsl.branch
-            ~condition:
-              [ Guardrail.Dsl.eq 0 (Value.String (Printf.sprintf "c%d" j)) ]
-            ~assignment:(Guardrail.Dsl.Between { lo; hi }))
-    in
-    Guardrail.Dsl.prog ~schema
-      [ Guardrail.Dsl.stmt ~given:[ 0 ] ~on:1 ~branches ]
-  in
-  let compiled = Validator.compile prog in
-  let flags_rows = Validator.detect_rows compiled frame in
-  let flags_vm = Validator.detect compiled frame in
-  if flags_rows <> flags_vm then begin
-    Printf.eprintf "range VM/row-interpreter divergence at %d rows\n" n_validate;
-    exit 1
-  end;
-  let n_viol =
-    Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 flags_vm
-  in
-  if n_viol <> Datagen.Numeric.violation_count truth then begin
-    Printf.eprintf "range detection missed planted violations (%d vs %d)\n"
-      n_viol (Datagen.Numeric.violation_count truth);
-    exit 1
-  end;
-  let time reps f = (Perf.Measure.run ~warmup:1 ~reps f).Perf.Measure.min_s in
-  let rows_s = time 5 (fun () -> Validator.detect_rows compiled frame) in
-  let vm_s = time 5 (fun () -> Validator.detect compiled frame) in
-  let speedup = if vm_s > 0.0 then rows_s /. vm_s else Float.infinity in
-  Printf.printf "  %-9s %9s %11s %11s %8s\n" "rows" "viol" "rows(ms)"
-    "vm(ms)" "speedup";
-  Printf.printf "  %-9d %9d %11.2f %11.2f %7.1fx\n%!" n_validate n_viol
-    (rows_s *. 1e3) (vm_s *. 1e3) speedup;
-  (* synthesis half: deterministic outputs on the small replica *)
-  let sframe, struth =
-    Datagen.Numeric.mixed ~n_rows:n_synth ~n_categories:n_synth_categories
-      ~seed:3 ()
-  in
-  let r =
-    Synthesize.run ~config:(Guardrail.Config.make ~jobs:!jobs ~bins ()) sframe
-  in
-  let covering =
-    List.exists
-      (fun (s : Guardrail.Dsl.stmt) ->
-        s.Guardrail.Dsl.on = 1
-        && List.exists
-             (fun (br : Guardrail.Dsl.branch) ->
-               match br.Guardrail.Dsl.assignment with
-               | Guardrail.Dsl.Between { lo; hi } ->
-                 Array.exists
-                   (fun (rlo, rhi) -> lo <= rlo && rhi <= hi)
-                   struth.Datagen.Numeric.ranges
-               | _ -> false)
-             s.Guardrail.Dsl.branches)
-      r.Synthesize.program.Guardrail.Dsl.stmts
-  in
-  Printf.printf "  synth: coverage=%.3f between_covering=%b\n%!"
-    r.Synthesize.coverage covering;
-  let num v = Obs.Json.Num v in
-  let oc = open_out "BENCH_numeric.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("n_rows", num (float_of_int n_validate));
-            ("bins", num (float_of_int bins));
-            ("violating_rows", num (float_of_int n_viol));
-            ("range_detect_rows_s", num rows_s);
-            ("range_detect_vm_s", num vm_s);
-            ("range_detect_speedup", num speedup);
-            ("synth_coverage", num r.Synthesize.coverage);
-            ("between_covering", num (if covering then 1.0 else 0.0)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "numeric timings written to BENCH_numeric.json\n%!";
-  let metric = Perf.Result.metric ~suite:"numeric"
-      ~workload:(Printf.sprintf "rows=%d" n_validate) in
-  [ metric ~name:"range_detect_rows_s" ~value:rows_s ~unit_:"s" ();
-    metric ~name:"range_detect_vm_s" ~value:vm_s ~unit_:"s" ();
-    metric ~name:"range_detect_speedup" ~value:speedup ~unit_:"x"
-      ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.85
-      ~bound:1.0 ();
-    metric ~name:"synth_coverage" ~value:r.Synthesize.coverage ~unit_:"cov"
-      ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.01 ();
-    metric ~name:"between_covering" ~value:(if covering then 1.0 else 0.0)
-      ~unit_:"n" ~direction:Perf.Result.Higher_better ~gated:true
-      ~tolerance:0.0 ~bound:1.0 () ]
-
-(* ------------------------------------------------------------------ *)
-(* Gated synthesis suite: a deterministic slice of table4 sized for
-   CI. Wall time is min-of-N with GC compaction between reps; work
-   seconds come from the run's Obs spans, so the parallel phases are
-   tracked as work, not wall luck. The gated metrics are the
-   deterministic algorithmic outputs (coverage, CI-cache hit rate):
-   they carry zero measurement noise, so any drift is a real change. *)
-
-let synth_suite () =
-  header "Synthesis suite: min-of-N wall + span-derived work seconds";
-  let reps = synth_reps () in
-  Printf.printf "  %-4s %9s %11s %11s %9s %9s %8s\n" "ID" "total(s)"
-    "struct-w(s)" "fill-w(s)" "cov" "hit-rate" "#DAGs";
-  List.concat_map
-    (fun id ->
-      let p = prepare id in
-      let frame = p.full in
-      (* one unmeasured run for the deterministic outputs and the
-         span-derived phase/work breakdown *)
-      let r = Synthesize.run frame in
-      let sample =
-        Perf.Measure.run ~warmup:0 ~reps (fun () -> Synthesize.run frame)
-      in
-      let t = r.Synthesize.timing in
-      let hit_rate =
-        let total = r.Synthesize.cache_hits + r.Synthesize.cache_misses in
-        if total = 0 then 0.0
-        else float_of_int r.Synthesize.cache_hits /. float_of_int total
-      in
-      Printf.printf "  %-4d %9.3f %11.3f %11.3f %9.3f %9.3f %8d\n%!" id
-        sample.Perf.Measure.min_s t.Synthesize.structure_work_s
-        t.Synthesize.fill_work_s r.Synthesize.coverage hit_rate
-        r.Synthesize.dag_count;
-      let metric = Perf.Result.metric ~suite:"synth"
-          ~workload:(Printf.sprintf "ds%d" id) in
-      let sec name value = metric ~name ~value ~unit_:"s" () in
-      [ metric ~name:"total_s" ~value:sample.Perf.Measure.min_s ~unit_:"s" ();
-        sec "sampling_s" t.Synthesize.sampling_s;
-        sec "structure_s" t.Synthesize.structure_s;
-        sec "enumeration_s" t.Synthesize.enumeration_s;
-        sec "fill_s" t.Synthesize.fill_s;
-        sec "structure_work_s" t.Synthesize.structure_work_s;
-        sec "fill_work_s" t.Synthesize.fill_work_s;
-        metric ~name:"coverage" ~value:r.Synthesize.coverage ~unit_:"cov"
-          ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.01 ();
-        metric ~name:"cache_hit_rate" ~value:hit_rate ~unit_:"rate"
-          ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.02 ();
-        metric ~name:"dag_count" ~value:(float_of_int r.Synthesize.dag_count)
-          ~unit_:"n" ~direction:Perf.Result.Higher_better () ])
-    gate_synth_datasets
-
-(* ------------------------------------------------------------------ *)
-(* Streaming-ingest suite: the versioned-frame ingest path end to end.
-   A base snapshot of dataset #2 is loaded with its synthesized
-   program, then the remaining rows stream in as APPEND batches
-   through the registry (frame extend + bytecode re-lower + group /
-   contingency / drift maintenance). Three measurements:
-
-   - append throughput through [Registry.append_rows] (ungated — raw
-     rows/s is machine-dependent);
-   - incremental [Ingest.advance] over one batch vs recomputing the
-     same statistics from scratch on the grown frame: the gated ratio
-     (bound 1.0) is the point of incremental maintenance — falling
-     under 1.0 means the delta path got slower than a full rebuild;
-   - REFRESH latency after a corrupted batch drives constraints stale
-     (ungated).
-
-   Writes BENCH_ingest.json for the CI artifact. *)
-
-let gate_ingest_batches = 8
-let gate_ingest_batch_rows = 500
-
-let ingest_bench () =
-  header "Streaming ingest: appends, incremental maintenance, refresh";
-  let reps = 5 in
-  let p = prepare 2 in
-  let total = Frame.nrows p.full in
-  let streamed = gate_ingest_batches * gate_ingest_batch_rows in
-  let base_rows = total - streamed in
-  let base = Frame.take p.full (Array.init base_rows (fun i -> i)) in
-  let batch k =
-    Frame.take p.full
-      (Array.init gate_ingest_batch_rows (fun i ->
-           base_rows + (k * gate_ingest_batch_rows) + i))
-  in
-  let synth = Synthesize.run base in
-  let program = Guardrail.Pretty.prog_to_string synth.Synthesize.program in
-  let compiled = Validator.compile synth.Synthesize.program in
-  Printf.printf "  %s: %d base rows + %d x %d appended, %d statement(s)\n%!"
-    p.spec.Spec.name base_rows gate_ingest_batches gate_ingest_batch_rows
-    (Guardrail.Dsl.stmt_count synth.Synthesize.program);
-  (* 1. append throughput: the registry ingest path end to end *)
-  let append_stream () =
-    let registry = Service.Registry.create () in
-    let (_ : Service.Registry.entry) =
-      Service.Registry.load registry ~name:"data" ~program base
-    in
-    for k = 0 to gate_ingest_batches - 1 do
-      ignore (Service.Registry.append_rows registry ~name:"data" (batch k))
-    done
-  in
-  let append_sample = Perf.Measure.run ~warmup:1 ~reps append_stream in
-  let append_s = append_sample.Perf.Measure.min_s in
-  let rows_per_s = float_of_int streamed /. append_s in
-  Printf.printf "  append: %d rows in %.3fs -> %.0f rows/s\n%!" streamed
-    append_s rows_per_s;
-  (* 2. incremental advance vs full recomputation over the same delta *)
-  let ing0 = Service.Ingest.create compiled base in
-  let grown = Frame.extend base (batch 0) in
-  let incr_s =
-    (Perf.Measure.run ~warmup:1 ~reps (fun () ->
-         Service.Ingest.advance ing0 compiled grown))
-      .Perf.Measure.min_s
-  in
-  let rebuild_s =
-    (Perf.Measure.run ~warmup:1 ~reps (fun () ->
-         Service.Ingest.create compiled grown))
-      .Perf.Measure.min_s
-  in
-  let ratio = if incr_s > 0.0 then rebuild_s /. incr_s else Float.infinity in
-  Printf.printf
-    "  maintenance: incremental %.3fms vs rebuild %.3fms -> %.2fx\n%!"
-    (incr_s *. 1e3) (rebuild_s *. 1e3) ratio;
-  (* 3. refresh latency: a heavily corrupted tail drives the drift
-     monitor stale, then REFRESH re-fills exactly the flagged sets *)
-  let ons =
-    List.sort_uniq compare
-      (List.map
-         (fun (s : Guardrail.Dsl.stmt) -> s.Guardrail.Dsl.on)
-         synth.Synthesize.program.Guardrail.Dsl.stmts)
-  in
-  let tail = Frame.take p.full (Array.init streamed (fun i -> base_rows + i)) in
-  let corrupted =
-    (Corrupt.inject ~seed:42 ~n_errors:(streamed / 2) ~columns:ons tail)
-      .Corrupt.corrupted
-  in
-  let refresh_min = ref Float.infinity
-  and stale_count = ref 0
-  and refilled = ref 0 in
-  for _ = 1 to reps do
-    let registry = Service.Registry.create () in
-    let (_ : Service.Registry.entry) =
-      Service.Registry.load registry ~name:"data" ~program base
-    in
-    let (_ : Service.Registry.entry) =
-      Service.Registry.append_rows registry ~name:"data" corrupted
-    in
-    let (_, report), t =
-      Perf.Measure.time1 (fun () ->
-          Service.Registry.refresh registry ~name:"data")
-    in
-    refresh_min := Float.min !refresh_min t;
-    stale_count := List.length report.Service.Registry.stale;
-    refilled := report.Service.Registry.refreshed
-  done;
-  Printf.printf "  refresh: %d stale key(s), %d re-filled, %.2fms\n%!"
-    !stale_count !refilled (!refresh_min *. 1e3);
-  let oc = open_out "BENCH_ingest.json" in
-  output_string oc
-    (Obs.Json.to_string
-       (Obs.Json.Obj
-          [ ("base_rows", Obs.Json.Num (float_of_int base_rows));
-            ("appended_rows", Obs.Json.Num (float_of_int streamed));
-            ("batches", Obs.Json.Num (float_of_int gate_ingest_batches));
-            ("append_s", Obs.Json.Num append_s);
-            ("append_rows_per_s", Obs.Json.Num rows_per_s);
-            ("incremental_s", Obs.Json.Num incr_s);
-            ("rebuild_s", Obs.Json.Num rebuild_s);
-            ("incremental_vs_rebuild", Obs.Json.Num ratio);
-            ("refresh_s", Obs.Json.Num !refresh_min);
-            ("stale_keys", Obs.Json.Num (float_of_int !stale_count)) ]));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "ingest timings written to BENCH_ingest.json\n%!";
-  let metric = Perf.Result.metric ~suite:"ingest" ~workload:"ds2" in
-  [ metric ~name:"append_rows_per_s" ~value:rows_per_s ~unit_:"rows/s"
-      ~direction:Perf.Result.Higher_better ();
-    metric ~name:"append_total_s" ~value:append_s ~unit_:"s" ();
-    metric ~name:"incremental_s" ~value:incr_s ~unit_:"s" ();
-    metric ~name:"rebuild_s" ~value:rebuild_s ~unit_:"s" ();
-    metric ~name:"incremental_vs_rebuild" ~value:ratio ~unit_:"x"
-      ~direction:Perf.Result.Higher_better ~gated:true ~tolerance:0.9
-      ~bound:1.0 ();
-    metric ~name:"refresh_ms" ~value:(!refresh_min *. 1e3) ~unit_:"ms" ();
-    metric ~name:"stale_keys" ~value:(float_of_int !stale_count) ~unit_:"n" () ]
-
-(* ------------------------------------------------------------------ *)
-(* The regression harness: record / compare / report.
-
-   The six gated suites run under one workload fingerprint; a run is
-   one line of bench/history.jsonl whose last line is the blessed
-   baseline CI gates against. *)
-
-let all_suites =
-  [ ("synth", synth_suite);
-    ("groupby", (fun () -> groupby_bench ()));
-    ("validate", (fun () -> validate_bench ~sizes_default:gate_validate_sizes ()));
-    ("serve", (fun () -> serve_bench ~seconds_default:gate_serve_seconds ()));
-    ("ingest", (fun () -> ingest_bench ()));
-    ("numeric", (fun () -> numeric_bench ())) ]
-
-let flag_suites : string list option ref = ref None
-
-let selected_suites () =
-  match !flag_suites with
-  | None -> all_suites
-  | Some names ->
-    List.map
-      (fun n ->
-        match List.assoc_opt n all_suites with
-        | Some f -> (n, f)
-        | None ->
-          Printf.eprintf "unknown suite %S; available: %s\n" n
-            (String.concat ", " (List.map fst all_suites));
-          exit 2)
-      names
-
-(* every knob that shapes the gated workloads, in canonical form; two
-   runs compare only when these agree *)
-let gate_knobs suites =
-  [ ("suites", String.concat "," (List.map fst suites));
-    ( "validate_sizes",
-      String.concat ","
-        (List.map string_of_int (validate_sizes ~default:gate_validate_sizes ())) );
-    ("serve_clients", string_of_int (serve_clients ()));
-    ( "serve_seconds",
-      Printf.sprintf "%g" (serve_seconds ~default:gate_serve_seconds ()) );
-    ("serve_rows", string_of_int (serve_rows ()));
-    ("serve_batch", string_of_int (serve_batch ()));
-    ("groupby_reps", string_of_int (groupby_reps ()));
-    ("synth_reps", string_of_int (synth_reps ()));
-    ("numeric_bins", string_of_int (numeric_bins ()));
-    ( "synth_datasets",
-      String.concat "," (List.map string_of_int gate_synth_datasets) ) ]
-
-let fresh_run () =
-  let suites = selected_suites () in
-  let results = List.concat_map (fun (_, f) -> f ()) suites in
-  Perf.Result.make_run
-    ~rev:(Perf.Result.current_rev ())
-    ~unix_time:(Unix.gettimeofday ())
-    ~fingerprint:(Perf.Result.fingerprint (gate_knobs suites))
-    results
-
-let default_history = "bench/history.jsonl"
-
-let load_history_or_die path =
-  match Perf.History.load path with
-  | Ok runs -> runs
-  | Error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 2
-
-(* load a run file's latest line, or die loudly — a typo'd path must
-   not read as "no baseline, gate passes" *)
-let load_latest_or_die path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "error: run file %s does not exist\n" path;
-    exit 2
-  end;
-  match Perf.History.latest (load_history_or_die path) with
-  | Some run -> run
-  | None ->
-    Printf.eprintf "error: %s holds no runs\n" path;
-    exit 2
-
-(* --baseline FILE-OR-REV: a jsonl path, or a git rev whose committed
-   bench/history.jsonl is read via git show *)
-let load_baseline arg =
-  if Sys.file_exists arg then Perf.History.latest (load_history_or_die arg)
-  else begin
-    let cmd =
-      Printf.sprintf "git show %s:%s 2>/dev/null"
-        (Filename.quote arg) default_history
-    in
-    let ic = Unix.open_process_in cmd in
-    let buf = Buffer.create 4096 in
-    (try
-       while true do
-         Buffer.add_channel buf ic 1
-       done
-     with End_of_file -> ());
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 ->
-      let lines =
-        String.split_on_char '\n' (Buffer.contents buf)
-        |> List.filter (fun l -> String.trim l <> "")
-      in
-      let runs =
-        List.map
-          (fun line ->
-            match Perf.Result.run_of_json (Obs.Json.parse line) with
-            | Ok run -> run
-            | Error msg ->
-              Printf.eprintf "error: %s:%s: %s\n" arg default_history msg;
-              exit 2)
-          lines
-      in
-      Perf.History.latest runs
-    | _ ->
-      Printf.eprintf
-        "error: baseline %S is neither a file nor a rev with a committed %s\n"
-        arg default_history;
-      exit 2
-  end
-
-let cmd_record ~out () =
-  let run = fresh_run () in
-  Perf.History.append out run;
-  Printf.printf
-    "\nrecorded %d metrics (rev %s, fingerprint %s) -> %s\n%!"
-    (List.length run.Perf.Result.results)
-    run.Perf.Result.rev run.Perf.Result.fingerprint out
-
-let cmd_compare ~baseline ~current ~save () =
-  let current_run =
-    match current with
-    | Some path -> load_latest_or_die path
-    | None ->
-      let run = fresh_run () in
-      Option.iter (fun path -> Perf.History.append path run) save;
-      run
-  in
-  let baseline_run =
-    match baseline with
-    | Some arg -> load_baseline arg
-    | None -> Perf.History.latest (load_history_or_die default_history)
-  in
-  header "Comparison against baseline";
-  (match baseline_run with
-   | None ->
-     print_string (Perf.Compare.render
-                     (Perf.Compare.compare_runs ~baseline:None
-                        ~current:current_run));
-     Printf.printf
-       "\nno baseline recorded yet: all metrics are new, only hard bounds \
-        were enforced\n%!"
-   | Some b -> Printf.printf "baseline: rev %s\ncurrent:  rev %s\n\n%!"
-                 b.Perf.Result.rev current_run.Perf.Result.rev);
-  match baseline_run with
-  | None -> ()
-  | Some _ ->
-    let rows =
-      try Perf.Compare.compare_runs ~baseline:baseline_run ~current:current_run
-      with Perf.Compare.Fingerprint_mismatch { baseline; current } ->
-        Printf.eprintf
-          "error: workload fingerprint mismatch (baseline %s, current %s).\n\
-           The baseline was recorded under different bench knobs; re-record \
-           it with `bench record` using the current knobs, or drop the \
-           overriding flags/env vars.\n"
-          baseline current;
-        exit 3
-    in
-    print_string (Perf.Compare.render rows);
-    match Perf.Compare.failures rows with
-    | [] -> Printf.printf "\nall %d gated metrics within tolerance\n%!"
-              (List.length (List.filter (fun r -> r.Perf.Compare.gated) rows))
-    | fails ->
-      Printf.printf "\n%d gated metric(s) FAILED:\n%s%!" (List.length fails)
-        (Perf.Compare.render fails);
-      exit 1
-
-let cmd_report ~history ~current () =
-  let runs = load_history_or_die history in
-  let runs =
-    match current with
-    | None -> runs
-    | Some path -> runs @ [ load_latest_or_die path ]
-  in
-  print_string (Perf.Report.markdown runs)
-
-(* ------------------------------------------------------------------ *)
 (* Driver *)
 
 let experiments =
@@ -2026,131 +843,52 @@ let experiments =
     ("case_study", case_study);
     ("structure", structure);
     ("micro", micro);
-    ("serve", fun () -> ignore (serve_bench ()));
-    ("groupby", fun () -> ignore (groupby_bench ()));
-    ("validate", fun () -> ignore (validate_bench ()));
-    ("synth", fun () -> ignore (synth_suite ()));
-    ("ingest", fun () -> ignore (ingest_bench ()));
-    ("numeric", fun () -> ignore (numeric_bench ()));
   ]
-
-(* string-option flags of the harness front-end *)
-let flag_out = ref default_history
-let flag_baseline : string option ref = ref None
-let flag_current : string option ref = ref None
-let flag_save : string option ref = ref (Some "BENCH_run.jsonl")
-let flag_history = ref default_history
 
 let usage () =
   prerr_endline
-    "usage: bench [--jobs N] [workload flags] <experiments...>\n\
-    \       bench record  [--suites a,b] [--out FILE] [workload flags]\n\
-    \       bench compare [--baseline FILE|REV] [--current FILE]\n\
-    \                     [--save FILE] [--suites a,b] [workload flags]\n\
-    \       bench report  [--history FILE] [--current FILE]\n\
-     \n\
-     Workload flags (env fallback in parentheses):\n\
-    \  --validate-sizes N,N,..  rows per validate workload (VALIDATE_SIZES)\n\
-    \  --serve-clients N        pipelining clients (SERVE_CLIENTS, 100)\n\
-    \  --serve-seconds F        seconds per serving run (SERVE_SECONDS)\n\
-    \  --serve-rows N           rows in the served table (SERVE_ROWS, 100)\n\
-    \  --serve-batch N          pipelined requests per batch (SERVE_BATCH, 8)\n\
-    \  --groupby-reps N         min-of-N reps, groupby (GROUPBY_REPS, 10)\n\
-    \  --synth-reps N           min-of-N reps, synth (SYNTH_REPS, 3)\n\
-    \  --numeric-bins N         learned bins, numeric suite (NUMERIC_BINS, 8)";
+    ("usage: bench [--jobs N] <experiments...>\n\
+      \n\
+      Experiments (default: all): "
+    ^ String.concat " " (List.map fst experiments));
   exit 2
 
 let () =
-  let bad flag v =
-    Printf.eprintf "bad value %S for %s\n" v flag;
-    exit 2
-  in
-  let set_int r flag v =
+  let set_jobs v =
     match int_of_string_opt v with
-    | Some n when n >= 1 -> r := Some n
-    | _ -> bad flag v
-  in
-  let set_float r flag v =
-    match float_of_string_opt v with
-    | Some f when f > 0.0 -> r := Some f
-    | _ -> bad flag v
-  in
-  let flags : (string * (string -> unit)) list =
-    [ ( "--jobs",
-        fun v ->
-          match int_of_string_opt v with
-          | Some j when j >= 1 -> jobs := j
-          | _ -> bad "--jobs" v );
-      ( "--validate-sizes",
-        fun v ->
-          match parse_sizes v with
-          | [] -> bad "--validate-sizes" v
-          | sizes -> flag_validate_sizes := Some sizes );
-      ("--serve-clients", set_int flag_serve_clients "--serve-clients");
-      ("--serve-seconds", set_float flag_serve_seconds "--serve-seconds");
-      ("--serve-rows", set_int flag_serve_rows "--serve-rows");
-      ("--serve-batch", set_int flag_serve_batch "--serve-batch");
-      ("--groupby-reps", set_int flag_groupby_reps "--groupby-reps");
-      ("--synth-reps", set_int flag_synth_reps "--synth-reps");
-      ("--numeric-bins", set_int flag_numeric_bins "--numeric-bins");
-      ( "--suites",
-        fun v ->
-          flag_suites :=
-            Some (List.filter (fun s -> s <> "") (String.split_on_char ',' v)) );
-      ("--out", fun v -> flag_out := v);
-      ("--baseline", fun v -> flag_baseline := Some v);
-      ("--current", fun v -> flag_current := Some v);
-      ("--save", fun v -> flag_save := if v = "none" then None else Some v);
-      ("--history", fun v -> flag_history := v) ]
+    | Some j when j >= 1 -> jobs := j
+    | _ ->
+      Printf.eprintf "bad value %S for --jobs\n" v;
+      exit 2
   in
   let rec parse_args acc = function
     | [] -> List.rev acc
-    | ("--help" | "-h") :: _ -> usage ()
-    | arg :: rest when String.length arg > 2 && String.sub arg 0 2 = "--" -> (
-      let name, inline_value =
-        match String.index_opt arg '=' with
-        | Some i ->
-          ( String.sub arg 0 i,
-            Some (String.sub arg (i + 1) (String.length arg - i - 1)) )
-        | None -> (arg, None)
-      in
-      match List.assoc_opt name flags with
-      | None ->
-        Printf.eprintf "unknown flag %S\n" arg;
-        usage ()
-      | Some set -> (
-        match inline_value, rest with
-        | Some v, _ -> set v; parse_args acc rest
-        | None, v :: rest -> set v; parse_args acc rest
-        | None, [] ->
-          Printf.eprintf "flag %s expects a value\n" name;
-          usage ()))
+    | ("--help" | "-h" | "help") :: _ -> usage ()
+    | "--jobs" :: v :: rest -> set_jobs v; parse_args acc rest
+    | [ "--jobs" ] ->
+      prerr_endline "--jobs expects a value";
+      usage ()
+    | arg :: rest when String.starts_with ~prefix:"--jobs=" arg ->
+      set_jobs (String.sub arg 7 (String.length arg - 7));
+      parse_args acc rest
+    | arg :: _ when String.starts_with ~prefix:"-" arg ->
+      Printf.eprintf "unknown flag %S\n" arg;
+      usage ()
     | arg :: rest -> parse_args (arg :: acc) rest
   in
-  let positional = parse_args [] (List.tl (Array.to_list Sys.argv)) in
-  match positional with
-  | [ "help" ] -> usage ()
-  | [ "record" ] -> cmd_record ~out:!flag_out ()
-  | [ "compare" ] ->
-    cmd_compare ~baseline:!flag_baseline ~current:!flag_current
-      ~save:!flag_save ()
-  | [ "report" ] -> cmd_report ~history:!flag_history ~current:!flag_current ()
-  | ("record" | "compare" | "report") :: _ ->
-    prerr_endline "record/compare/report take no positional arguments";
-    usage ()
-  | positional ->
-    let requested =
-      match positional with [] -> List.map fst experiments | names -> names
-    in
-    let t0 = Perf.Measure.now_s () in
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments));
-          exit 2)
-      requested;
-    Printf.printf "\nAll experiments completed in %.1f s\n"
-      (Perf.Measure.now_s () -. t0)
+  let requested =
+    match parse_args [] (List.tl (Array.to_list Sys.argv)) with
+    | [] -> List.map fst experiments
+    | names -> names
+  in
+  let t0 = now_s () in
+  List.iter
+    (fun name ->
+      match List.assoc_opt name experiments with
+      | Some f -> f ()
+      | None ->
+        Printf.eprintf "unknown experiment %S; available: %s\n" name
+          (String.concat ", " (List.map fst experiments));
+        exit 2)
+    requested;
+  Printf.printf "\nAll experiments completed in %.1f s\n" (now_s () -. t0)

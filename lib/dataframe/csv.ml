@@ -5,36 +5,49 @@ exception Parse_error of { line : int; message : string }
 
 let parse_error line message = raise (Parse_error { line; message })
 
-(* Split the whole input into records of fields. *)
-let parse_string s =
+(* Split the whole input into records of fields, each paired with the
+   physical line it starts on. Blank lines at the end of the input are
+   dropped; an interior blank line is a record of one empty field. *)
+let parse_records s =
   let n = String.length s in
   let records = ref [] in
   let fields = ref [] in
   let buf = Buffer.create 64 in
   let line = ref 1 in
+  (* where the current record starts: physical line and byte offset *)
+  let start_line = ref 1 and start = ref 0 in
+  (* how many records at the head of [!records] are blank lines *)
+  let trailing_blank = ref 0 in
   let flush_field () =
     fields := Buffer.contents buf :: !fields;
     Buffer.clear buf
   in
-  let flush_record () =
+  (* [i] is the offset that ends the record *)
+  let flush_record i =
     flush_field ();
-    records := List.rev !fields :: !records;
-    fields := []
+    records := (!start_line, List.rev !fields) :: !records;
+    fields := [];
+    if i = !start then incr trailing_blank else trailing_blank := 0
+  in
+  let new_line i =
+    incr line;
+    start_line := !line;
+    start := i
   in
   let rec plain i =
-    if i >= n then (if !fields <> [] || Buffer.length buf > 0 then flush_record ())
+    if i >= n then (if !fields <> [] || Buffer.length buf > 0 then flush_record i)
     else
       match s.[i] with
       | ',' ->
         flush_field ();
         plain (i + 1)
       | '\n' ->
-        flush_record ();
-        incr line;
+        flush_record i;
+        new_line (i + 1);
         plain (i + 1)
       | '\r' when i + 1 < n && s.[i + 1] = '\n' ->
-        flush_record ();
-        incr line;
+        flush_record i;
+        new_line (i + 2);
         plain (i + 2)
       | '"' when Buffer.length buf = 0 -> quoted (i + 1)
       | c ->
@@ -57,7 +70,10 @@ let parse_string s =
         quoted (i + 1)
   in
   plain 0;
-  List.rev !records
+  let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+  List.rev (drop !trailing_blank !records)
+
+let parse_string s = List.map snd (parse_records s)
 
 (* Infer a column kind from parsed cells: numeric iff every non-null value
    parses as a number and there are "many" distinct values; everything else
@@ -79,20 +95,19 @@ let infer_kind cells =
   if all_numeric && distinct > 20 then Schema.Numeric else Schema.Categorical
 
 let of_string ?(header = true) s =
-  match parse_string s with
+  match parse_records s with
   | [] -> invalid_arg "Csv.of_string: empty input"
-  | first :: rest ->
+  | (_, first) :: rest as all ->
     let names, data_rows =
       if header then (first, rest)
-      else
-        (List.mapi (fun i _ -> Printf.sprintf "col%d" i) first, first :: rest)
+      else (List.mapi (fun i _ -> Printf.sprintf "col%d" i) first, all)
     in
     let arity = List.length names in
     let parsed =
-      List.mapi
-        (fun ln r ->
+      List.map
+        (fun (line, r) ->
           if List.length r <> arity then
-            parse_error (ln + 2)
+            parse_error line
               (Printf.sprintf "expected %d fields, got %d" arity (List.length r));
           Array.of_list (List.map Value.of_raw r))
         data_rows
@@ -142,7 +157,10 @@ let to_string df =
         List.init (Frame.ncols df) (fun j ->
             escape_field (Value.to_string (Frame.get df i j)))
       in
-      Buffer.add_string buf (String.concat "," cells);
+      (* a lone empty cell is written quoted: a blank last line would
+         read back as no record at all *)
+      Buffer.add_string buf
+        (match cells with [ "" ] -> "\"\"" | _ -> String.concat "," cells);
       Buffer.add_char buf '\n');
   Buffer.contents buf
 

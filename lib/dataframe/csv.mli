@@ -3,13 +3,15 @@
 exception Parse_error of { line : int; message : string }
 
 (** Split raw CSV text into records of fields (quotes, embedded commas,
-    doubled quotes, LF/CRLF). *)
+    doubled quotes, LF/CRLF). Blank lines at the end of the input are
+    ignored; an interior blank line is a record of one empty field. *)
 val parse_string : string -> string list list
 
 (** Parse CSV text into a dataframe. Column kinds are sniffed: all-numeric
     high-cardinality columns become [Numeric], everything else
-    [Categorical]. Raises {!Parse_error} on malformed input and
-    [Invalid_argument] on empty input. *)
+    [Categorical]. Raises {!Parse_error} on malformed input, with the
+    physical line the bad record starts on, and [Invalid_argument] on
+    empty input. *)
 val of_string : ?header:bool -> string -> Frame.t
 
 val load : ?header:bool -> string -> Frame.t

@@ -1,6 +1,6 @@
 (* Minimal JSON tree, printer and parser — enough for the Chrome
-   trace exporter, BENCH_synth.json and round-trip tests, with no
-   external dependency. Numbers are floats; integral values print
+   trace exporter, the benchmark's result lines and round-trip tests,
+   with no external dependency. Numbers are floats; integral values print
    without a decimal point so trace ids stay readable. *)
 
 type t =

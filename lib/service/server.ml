@@ -92,7 +92,7 @@ type t = {
   config : Config.t;
   registry : Registry.t;
   metrics : Metrics.t;
-  pool : Pool.t;
+  pool : Runtime.Pool.t;
   stop_requested : bool Atomic.t;
   (* live trace collector, installed/removed by the TRACE command; every
      worker reads it per request, so it is an atomic, not a field guarded
@@ -113,7 +113,7 @@ let create ?(config = Config.default) registry =
     config;
     registry;
     metrics = Metrics.create ();
-    pool = Pool.create ~size:config.Config.pool_size ();
+    pool = Runtime.Pool.create ~size:config.Config.pool_size ();
     stop_requested = Atomic.make false;
     trace = Atomic.make None;
     listen_fd = None;
@@ -151,7 +151,7 @@ let stop t =
    when [run] already performed them). *)
 let shutdown t =
   stop t;
-  Pool.shutdown t.pool
+  Runtime.Pool.shutdown t.pool
 
 (* ------------------------------------------------------------------ *)
 (* Request dispatch *)
@@ -525,8 +525,8 @@ let run t =
           jobs;
         wake t
       in
-      (try Pool.post t.pool job
-       with Pool.Stopped ->
+      (try Runtime.Pool.post t.pool job
+       with Runtime.Pool.Stopped ->
          List.iter
            (fun (slot, _) ->
              Atomic.set slot.cell (Some Protocol.Shutting_down))
@@ -812,7 +812,7 @@ let run t =
      unix-socket path exactly once. *)
   Fun.protect
     ~finally:(fun () ->
-      Pool.shutdown t.pool;
+      Runtime.Pool.shutdown t.pool;
       t.wake_fd <- None;
       close_quietly wake_w;
       close_quietly wake_r;

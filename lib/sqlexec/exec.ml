@@ -77,6 +77,31 @@ let numeric v =
   | Some f -> f
   | None -> raise (Runtime_error (Fmt.str "non-numeric value %a" Value.pp v))
 
+let cmp_values op va vb =
+  if Value.is_null va || Value.is_null vb then Value.Bool false
+  else begin
+    let c = Value.compare va vb in
+    Value.Bool
+      (match op with
+       | Eq -> c = 0
+       | Neq -> c <> 0
+       | Lt -> c < 0
+       | Le -> c <= 0
+       | Gt -> c > 0
+       | Ge -> c >= 0)
+  end
+
+let arith_values op va vb =
+  if Value.is_null va || Value.is_null vb then Value.Null
+  else begin
+    let x = numeric va and y = numeric vb in
+    match op with
+    | Add -> Value.Float (x +. y)
+    | Sub -> Value.Float (x -. y)
+    | Mul -> Value.Float (x *. y)
+    | Div -> if y = 0.0 then Value.Null else Value.Float (x /. y)
+  end
+
 let rec eval env = function
   | Lit v -> v
   | Col name ->
@@ -89,29 +114,10 @@ let rec eval env = function
      | None -> raise (Runtime_error (Printf.sprintf "no prediction for %S" target)))
   | Cmp (op, a, b) ->
     let va = eval env a and vb = eval env b in
-    if Value.is_null va || Value.is_null vb then Value.Bool false
-    else begin
-      let c = Value.compare va vb in
-      Value.Bool
-        (match op with
-         | Eq -> c = 0
-         | Neq -> c <> 0
-         | Lt -> c < 0
-         | Le -> c <= 0
-         | Gt -> c > 0
-         | Ge -> c >= 0)
-    end
+    cmp_values op va vb
   | Arith (op, a, b) ->
     let va = eval env a and vb = eval env b in
-    if Value.is_null va || Value.is_null vb then Value.Null
-    else begin
-      let x = numeric va and y = numeric vb in
-      match op with
-      | Add -> Value.Float (x +. y)
-      | Sub -> Value.Float (x -. y)
-      | Mul -> Value.Float (x *. y)
-      | Div -> if y = 0.0 then Value.Null else Value.Float (x /. y)
-    end
+    arith_values op va vb
   | And (a, b) -> Value.Bool (truthy (eval env a) && truthy (eval env b))
   | Or (a, b) -> Value.Bool (truthy (eval env a) || truthy (eval env b))
   | Not e -> Value.Bool (not (truthy (eval env e)))
@@ -124,8 +130,9 @@ let rec eval env = function
   | Agg _ -> raise (Runtime_error "aggregate outside aggregation context")
 
 (* Aggregate evaluation over a group of environments. Aggregates may be
-   nested inside arithmetic; group-key expressions evaluate on the group's
-   representative row. *)
+   nested inside arithmetic and comparisons, which combine their operands'
+   values directly, so they also evaluate over an empty group; group-key
+   expressions evaluate on the group's representative row. *)
 let rec eval_agg group (group_keys : (expr * Value.t) list) e =
   match e with
   | Agg (fn, arg) ->
@@ -166,24 +173,19 @@ let rec eval_agg group (group_keys : (expr * Value.t) list) e =
        (match e with
         | Lit v -> v
         | Cmp (op, a, b) ->
-          let env0 = List.hd group in
-          ignore env0;
-          eval_binary group group_keys (fun x y -> Cmp (op, Lit x, Lit y)) a b
+          let va = eval_agg group group_keys a in
+          let vb = eval_agg group group_keys b in
+          cmp_values op va vb
         | Arith (op, a, b) ->
-          eval_binary group group_keys (fun x y -> Arith (op, Lit x, Lit y)) a b
+          let va = eval_agg group group_keys a in
+          let vb = eval_agg group group_keys b in
+          arith_values op va vb
         | Case _ | Col _ | Predict _ | And _ | Or _ | Not _ ->
           (* fall back: evaluate on the representative row *)
           (match group with
            | env :: _ -> eval env e
            | [] -> Value.Null)
         | Agg _ -> assert false))
-
-and eval_binary group group_keys rebuild a b =
-  let va = eval_agg group group_keys a in
-  let vb = eval_agg group group_keys b in
-  match group with
-  | env :: _ -> eval env (rebuild va vb)
-  | [] -> Value.Null
 
 let find_table ctx name =
   match Hashtbl.find_opt ctx.tables name with

@@ -192,6 +192,36 @@ let test_csv_ragged () =
        false
      with Csv.Parse_error _ -> true)
 
+let test_csv_trailing_blank_lines () =
+  List.iter
+    (fun text ->
+      let f = Csv.of_string text in
+      Alcotest.(check int) (Printf.sprintf "rows of %S" text) 1 (Frame.nrows f);
+      Alcotest.(check value) "cell" (Value.Int 2) (Frame.get f 0 1))
+    [ "a,b\n1,2\n\n"; "a,b\r\n1,2\r\n\r\n"; "a,b\n1,2\n\n\n" ];
+  (* an interior blank line in a one-column file is a NULL cell *)
+  let f = Csv.of_string "a\nx\n\ny\n\n" in
+  Alcotest.(check int) "one-column rows" 3 (Frame.nrows f);
+  Alcotest.(check value) "interior blank" Value.Null (Frame.get f 1 0);
+  (* and a trailing NULL cell survives the round trip *)
+  let schema = Schema.make [ Schema.categorical "a" ] in
+  let g = Frame.of_rows schema [ [| Value.String "x" |]; [| Value.Null |] ] in
+  let g' = Csv.of_string (Csv.to_string g) in
+  Alcotest.(check int) "round-trip rows" 2 (Frame.nrows g');
+  Alcotest.(check value) "round-trip NULL" Value.Null (Frame.get g' 1 0)
+
+let test_csv_error_line () =
+  let line_of ?header text =
+    match Csv.of_string ?header text with
+    | _ -> Alcotest.failf "%S: no parse error" text
+    | exception Csv.Parse_error { line; _ } -> line
+  in
+  Alcotest.(check int) "plain" 3 (line_of "a,b\n1,2\n3\n");
+  (* the quoted field of line 2 spans a newline: the bad row is line 4 *)
+  Alcotest.(check int) "after embedded newline" 4
+    (line_of "a,b\n\"x\ny\",1\n3\n");
+  Alcotest.(check int) "no header" 2 (line_of ~header:false "1,2\n3\n")
+
 let test_csv_unterminated () =
   Alcotest.(check bool) "unterminated raises" true
     (try
@@ -507,6 +537,9 @@ let () =
           Alcotest.test_case "crlf" `Quick test_csv_crlf;
           Alcotest.test_case "ragged rejected" `Quick test_csv_ragged;
           Alcotest.test_case "unterminated rejected" `Quick test_csv_unterminated;
+          Alcotest.test_case "trailing blank lines" `Quick
+            test_csv_trailing_blank_lines;
+          Alcotest.test_case "error line" `Quick test_csv_error_line;
         ] );
       ( "split",
         [

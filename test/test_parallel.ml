@@ -124,6 +124,29 @@ let test_config_jobs_equivalent () =
   let par = snapshot (Synthesize.run ~config:(Config.make ~jobs:3 ()) frame) in
   check_same ~what:"config.jobs=3 vs jobs=1" seq par
 
+(* Golden synthesis outputs on three full-size evaluation datasets.
+   Coverage and the CI-cache and MEC counters are deterministic, so they
+   are pinned exactly; under GUARDRAIL_JOBS=4 the same values must come
+   out of the parallel pipeline. *)
+let golden =
+  [ (2, 0.71729999999999994, 0, 3, 1);
+    (5, 0.16836388323150034, 4, 5, 3);
+    (7, 0.47127769191138585, 4276, 44, 432) ]
+
+let test_golden_outputs () =
+  List.iter
+    (fun (id, coverage, hits, misses, dag_count) ->
+      let r = Synthesize.run (frame_of id) in
+      let what = Printf.sprintf "dataset %d" id in
+      Alcotest.(check (float 0.0)) (what ^ ": coverage") coverage
+        r.Synthesize.coverage;
+      Alcotest.(check int) (what ^ ": cache hits") hits r.Synthesize.cache_hits;
+      Alcotest.(check int) (what ^ ": cache misses") misses
+        r.Synthesize.cache_misses;
+      Alcotest.(check int) (what ^ ": dag_count") dag_count
+        r.Synthesize.dag_count)
+    golden
+
 let () =
   Alcotest.run "parallel"
     [
@@ -138,5 +161,7 @@ let () =
             test_synthesize_deterministic_across_jobs;
           Alcotest.test_case "config.jobs routing" `Quick
             test_config_jobs_equivalent;
+          Alcotest.test_case "golden outputs, datasets 2/5/7" `Quick
+            test_golden_outputs;
         ] );
     ]

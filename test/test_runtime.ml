@@ -1,6 +1,7 @@
 (* Tests for Runtime.Pool, the shared Domain worker pool: future
-   plumbing, order preservation, and the shutdown contract (idempotent
-   shutdown, deterministic Stopped after it). *)
+   plumbing, order preservation, failing jobs, and the shutdown
+   contract (queued jobs drained, idempotent shutdown, deterministic
+   Stopped after it). *)
 
 module Pool = Runtime.Pool
 
@@ -16,6 +17,16 @@ let test_map_list_order () =
   let out = Pool.map_list pool (fun x -> x + 1) [ 1; 2; 3; 4; 5 ] in
   Pool.shutdown pool;
   Alcotest.(check (list int)) "order preserved" [ 2; 3; 4; 5; 6 ] out
+
+let test_map_list () =
+  (* edge sizes: no elements, and many more elements than workers *)
+  let pool = Pool.create ~size:2 () in
+  let empty = Pool.map_list pool (fun x -> x + 1) [] in
+  let long = Pool.map_list pool (fun x -> 2 * x) (List.init 200 Fun.id) in
+  Pool.shutdown pool;
+  Alcotest.(check (list int)) "empty list" [] empty;
+  Alcotest.(check (list int)) "long list, order preserved"
+    (List.init 200 (fun i -> 2 * i)) long
 
 let test_parmap_matches_map () =
   let xs = List.init 101 (fun i -> i) in
@@ -45,6 +56,41 @@ let test_exception_propagates () =
   in
   Pool.shutdown pool;
   Alcotest.(check bool) "exception re-raised at await" true raised
+
+let test_exception_reraised () =
+  (* a failing job re-raises at map_list and leaves the pool usable *)
+  let pool = Pool.create ~size:2 () in
+  let raised =
+    match
+      Pool.map_list pool
+        (fun x -> if x = 3 then failwith "job 3 blew up" else x)
+        [ 1; 2; 3; 4 ]
+    with
+    | _ -> false
+    | exception Failure msg -> msg = "job 3 blew up"
+  in
+  let after = Pool.await (Pool.submit pool (fun () -> 42)) in
+  Pool.shutdown pool;
+  Alcotest.(check bool) "exception re-raised at map_list" true raised;
+  Alcotest.(check int) "pool still serves jobs" 42 after
+
+let test_shutdown_drains () =
+  (* more queued jobs than workers, some raising: every one runs
+     before shutdown returns, and a raising post is swallowed *)
+  let pool = Pool.create ~size:2 () in
+  let counter = Atomic.make 0 in
+  for i = 1 to 50 do
+    Pool.post pool (fun () ->
+        Atomic.incr counter;
+        if i mod 7 = 0 then failwith "posted job blew up")
+  done;
+  Pool.shutdown pool;
+  Alcotest.(check int) "every queued job ran" 50 (Atomic.get counter);
+  Alcotest.(check int) "nothing pending" 0 (Pool.pending pool);
+  Alcotest.(check bool) "post after shutdown raises" true
+    (match Pool.post pool (fun () -> ()) with
+     | exception Pool.Stopped -> true
+     | () -> false)
 
 let test_shutdown_idempotent () =
   let pool = Pool.create ~size:3 () in
@@ -89,8 +135,11 @@ let () =
         [
           Alcotest.test_case "submit/await" `Quick test_submit_await;
           Alcotest.test_case "map_list order" `Quick test_map_list_order;
+          Alcotest.test_case "map_list" `Quick test_map_list;
           Alcotest.test_case "parmap = map" `Quick test_parmap_matches_map;
           Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
+          Alcotest.test_case "exception re-raised" `Quick test_exception_reraised;
+          Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
           Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
           Alcotest.test_case "shutdown concurrent" `Quick test_shutdown_concurrent;
           Alcotest.test_case "submit after shutdown" `Quick

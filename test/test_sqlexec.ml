@@ -157,6 +157,20 @@ let test_exec_arith_and_compare () =
   (* ages 40, 25, 35, 28, 45 -> 45 and 50 pass *)
   Alcotest.(check int) "rows" 2 (List.length r.Exec.rows)
 
+(* aggregates inside comparisons and arithmetic over an input the WHERE
+   clause empties: one row, computed from the aggregate's empty value *)
+let test_exec_aggregate_expr_empty_input () =
+  let ctx = ctx_with_people () in
+  let single q =
+    match (Exec.run ctx q).Exec.rows with
+    | [ row ] -> Array.to_list row
+    | rows -> Alcotest.failf "%s: %d rows, expected one" q (List.length rows)
+  in
+  Alcotest.(check (list value)) "COUNT(*) > 0" [ Value.Bool false ]
+    (single "SELECT COUNT(*) > 0 FROM people WHERE dept = 'zzz'");
+  Alcotest.(check (list value)) "COUNT(*) + 1" [ Value.Int 1 ]
+    (single "SELECT COUNT(*) + 1 FROM people WHERE dept = 'zzz'")
+
 let test_parser_between_desugars () =
   let q = Parser.query "SELECT a FROM t WHERE x BETWEEN 1 AND 3" in
   match q.Ast.where with
@@ -432,6 +446,8 @@ let () =
           Alcotest.test_case "group by" `Quick test_exec_group_by;
           Alcotest.test_case "case when" `Quick test_exec_case_when;
           Alcotest.test_case "arithmetic" `Quick test_exec_arith_and_compare;
+          Alcotest.test_case "aggregate expressions, empty input" `Quick
+            test_exec_aggregate_expr_empty_input;
           Alcotest.test_case "between" `Quick test_exec_between;
           Alcotest.test_case "range prefilter differential" `Quick
             test_range_prefilter_differential;
