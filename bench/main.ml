@@ -1,5 +1,5 @@
 (* Experiment harness: regenerates every table and figure of the paper's
-   evaluation (§8), plus bechamel micro-benchmarks of the hot paths.
+   evaluation (§8).
 
      dune exec bench/main.exe                          # everything
      dune exec bench/main.exe table3 fig7              # selected experiments
@@ -18,7 +18,6 @@
      optsmt      OptSMT clause blow-up and budgeted solve (§8.3)
      case_study  Adult query under corruption and rectification (App. F)
      structure   PC+MEC vs BIC hill-climbing ablation
-     micro       bechamel micro-benchmarks
 
    Performance is measured by the repository benchmark in perfbench/,
    not here; this program only regenerates the paper's experiments.
@@ -763,69 +762,6 @@ let structure () =
     Spec.all
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (bechamel) *)
-
-let micro () =
-  header "Micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let p = prepare 2 in
-  let frame = Frame.take p.full (Array.init 4000 (fun i -> i)) in
-  let synth = Synthesize.run frame in
-  let program = synth.Synthesize.program in
-  let compiled = Validator.compile program in
-  let row = Frame.row frame 0 in
-  let col0 = Dataframe.Column.codes (Frame.column frame 0) in
-  let col1 = Dataframe.Column.codes (Frame.column frame 1) in
-  let tests =
-    [
-      Test.make ~name:"eval_prog (one row)"
-        (Staged.stage (fun () ->
-             ignore (Guardrail.Semantics.eval_prog program row)));
-      Test.make ~name:"check_values (one row)"
-        (Staged.stage (fun () -> ignore (Validator.check_values compiled row)));
-      Test.make ~name:"chi2 two-way (4k rows)"
-        (Staged.stage (fun () ->
-             ignore
-               (Stat.Independence.test_two_way ~alpha:0.01
-                  (Stat.Contingency.two_way ~kx:3 ~ky:2 col0 col1))));
-      Test.make ~name:"circular-shift sampling (4k rows)"
-        (Staged.stage (fun () ->
-             ignore
-               (Guardrail.Auxdist.circular_shift ~max_shifts:3 frame [ 0; 1; 2 ])));
-      Test.make ~name:"partition product (4k rows)"
-        (Staged.stage
-           (let pa = Baselines.Partition.of_codes 4000 col0 in
-            let pb = Baselines.Partition.of_codes 4000 col1 in
-            fun () -> ignore (Baselines.Partition.product pa pb)));
-      Test.make ~name:"fill postal statement"
-        (Staged.stage (fun () ->
-             ignore
-               (Guardrail.Fill.fill_stmt_sketch frame ~epsilon:0.05
-                  (Guardrail.Sketch.stmt_sketch ~given:[ 0; 1 ] ~on:2))));
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-    let raw = Benchmark.all cfg instances test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ]) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ t ] -> Printf.printf "  %-36s %12.1f ns/run\n%!" name t
-          | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Driver *)
 
 let experiments =
@@ -842,7 +778,6 @@ let experiments =
     ("optsmt", optsmt);
     ("case_study", case_study);
     ("structure", structure);
-    ("micro", micro);
   ]
 
 let usage () =

@@ -23,15 +23,6 @@ let condition_holds frame row (c : condition) =
 let condition_holds_values values (c : condition) =
   List.for_all (fun { attr; test } -> Domain.atom_holds test values.(attr)) c
 
-(* [[b]]_t on a materialized row. *)
-let eval_branch values (b : branch) on =
-  if condition_holds_values values b.condition then begin
-    let out = Array.copy values in
-    out.(on) <- Domain.rectify b.assignment out.(on);
-    out
-  end
-  else values
-
 (* [[s]]_t: branch conditions of one statement are mutually exclusive by
    construction (distinct determinant-value combinations), so at most one
    fires. *)
@@ -50,15 +41,6 @@ let eval_stmt values (s : stmt) =
 
 (* [[p]]_t. *)
 let eval_prog (p : prog) values = List.fold_left eval_stmt values p.stmts
-
-(* Rows of [frame] satisfying the branch condition. *)
-let branch_support frame (b : branch) =
-  let n = Frame.nrows frame in
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    if condition_holds frame i b.condition then acc := i :: !acc
-  done;
-  !acc
 
 (* L(b, D): rows matching the condition whose dependent value fails the
    branch assignment test (Eqn. 2). Returns (loss, support). *)

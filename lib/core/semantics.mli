@@ -3,15 +3,8 @@
 val condition_holds : Dataframe.Frame.t -> int -> Dsl.condition -> bool
 val condition_holds_values : Dataframe.Value.t array -> Dsl.condition -> bool
 
-(** [[b]]_t on a materialized row; the extra argument is the statement's ON
-    attribute. Returns the (possibly copied) updated row. *)
-val eval_branch : Dataframe.Value.t array -> Dsl.branch -> int -> Dataframe.Value.t array
-
 val eval_stmt : Dataframe.Value.t array -> Dsl.stmt -> Dataframe.Value.t array
 val eval_prog : Dsl.prog -> Dataframe.Value.t array -> Dataframe.Value.t array
-
-(** Row indices satisfying the branch condition. *)
-val branch_support : Dataframe.Frame.t -> Dsl.branch -> int list
 
 (** [(loss, support)] per Eqn. 2. *)
 val branch_loss : Dataframe.Frame.t -> Dsl.stmt -> Dsl.branch -> int * int

@@ -24,17 +24,13 @@ val strategy_of_string : string -> strategy option
 val strategy_to_string : strategy -> string
 
 (** Statements compiled into [Vm.Ruleset] decision tables plus a
-    per-frame bytecode cache: checking is O(statements) per row on the
-    scalar path and columnar on the batch path. *)
+    per-frame bytecode cache. *)
 type compiled
 
 val compile : Dsl.prog -> compiled
 
 (** The program a compilation was built from. *)
 val source : compiled -> Dsl.prog
-
-(** Violations of one materialized row ([row] field is [-1]). *)
-val check_values : compiled -> Dataframe.Value.t array -> violation list
 
 (** All violations over a frame: rows ascending, statements in program
     order within a row. *)
@@ -64,18 +60,6 @@ val prepare : compiled -> Dataframe.Frame.t -> unit
 (** The lowered program for a frame, for callers that pin the bytecode
     alongside their own per-table state. Cached like {!prepare}. *)
 val bytecode : compiled -> Dataframe.Frame.t -> Vm.Program.t
-
-(** Row-at-a-time reference implementations — the pre-VM semantics the
-    differential suite and [bench validate] compare against. *)
-val violations_rows : compiled -> Dataframe.Frame.t -> violation list
-
-val detect_rows : compiled -> Dataframe.Frame.t -> bool array
-
-val handle_rows :
-  ?strategy:strategy ->
-  compiled ->
-  Dataframe.Frame.t ->
-  Dataframe.Frame.t * violation list
 
 (** Re-resolve attribute indices by column name against another schema. *)
 val rebind : Dsl.prog -> Dataframe.Schema.t -> Dsl.prog

@@ -102,90 +102,83 @@ let arith_values op va vb =
     | Div -> if y = 0.0 then Value.Null else Value.Float (x /. y)
   end
 
-let rec eval env = function
+(* The one expression semantics. [leaf] resolves the nodes that read
+   state (columns, predictions, aggregates); every other node combines
+   its operands' values identically in row and group context. *)
+let rec eval_with leaf e =
+  match e with
   | Lit v -> v
-  | Col name ->
-    (match Dataframe.Schema.index_opt env.schema name with
-     | Some i -> env.values.(i)
-     | None -> raise (Runtime_error (Printf.sprintf "unknown column %S" name)))
-  | Predict target ->
-    (match List.assoc_opt target env.predictions with
-     | Some v -> v
-     | None -> raise (Runtime_error (Printf.sprintf "no prediction for %S" target)))
+  | Col _ | Predict _ | Agg _ -> leaf e
   | Cmp (op, a, b) ->
-    let va = eval env a and vb = eval env b in
+    let va = eval_with leaf a and vb = eval_with leaf b in
     cmp_values op va vb
   | Arith (op, a, b) ->
-    let va = eval env a and vb = eval env b in
+    let va = eval_with leaf a and vb = eval_with leaf b in
     arith_values op va vb
-  | And (a, b) -> Value.Bool (truthy (eval env a) && truthy (eval env b))
-  | Or (a, b) -> Value.Bool (truthy (eval env a) || truthy (eval env b))
-  | Not e -> Value.Bool (not (truthy (eval env e)))
+  | And (a, b) -> Value.Bool (truthy (eval_with leaf a) && truthy (eval_with leaf b))
+  | Or (a, b) -> Value.Bool (truthy (eval_with leaf a) || truthy (eval_with leaf b))
+  | Not e -> Value.Bool (not (truthy (eval_with leaf e)))
   | Case (whens, else_) ->
     let rec go = function
-      | (cond, v) :: rest -> if truthy (eval env cond) then eval env v else go rest
-      | [] -> (match else_ with Some e -> eval env e | None -> Value.Null)
+      | (cond, v) :: rest ->
+        if truthy (eval_with leaf cond) then eval_with leaf v else go rest
+      | [] -> (match else_ with Some e -> eval_with leaf e | None -> Value.Null)
     in
     go whens
-  | Agg _ -> raise (Runtime_error "aggregate outside aggregation context")
 
-(* Aggregate evaluation over a group of environments. Aggregates may be
-   nested inside arithmetic and comparisons, which combine their operands'
-   values directly, so they also evaluate over an empty group; group-key
-   expressions evaluate on the group's representative row. *)
-let rec eval_agg group (group_keys : (expr * Value.t) list) e =
-  match e with
-  | Agg (fn, arg) ->
-    let values =
-      match arg with
-      | None -> List.map (fun _ -> Value.Int 1) group
-      | Some a -> List.map (fun env -> eval env a) group
-    in
-    let numerics =
-      List.filter_map (fun v -> if Value.is_null v then None else Value.to_float v) values
-    in
-    (match fn with
-     | Count ->
-       (match arg with
-        | None -> Value.Int (List.length group)
-        | Some _ ->
-          Value.Int (List.length (List.filter (fun v -> not (Value.is_null v)) values)))
-     | Sum -> Value.Float (List.fold_left ( +. ) 0.0 numerics)
-     | Avg ->
-       (match numerics with
-        | [] -> Value.Null
-        | _ ->
-          Value.Float
-            (List.fold_left ( +. ) 0.0 numerics /. float_of_int (List.length numerics)))
-     | Min ->
-       (match List.filter (fun v -> not (Value.is_null v)) values with
-        | [] -> Value.Null
-        | v :: rest -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v rest)
-     | Max ->
-       (match List.filter (fun v -> not (Value.is_null v)) values with
-        | [] -> Value.Null
-        | v :: rest -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v rest))
-  | _ ->
-    (* group key? evaluate on the representative row *)
-    (match List.find_opt (fun (k, _) -> k = e) group_keys with
-     | Some (_, v) -> v
-     | None ->
-       (match e with
-        | Lit v -> v
-        | Cmp (op, a, b) ->
-          let va = eval_agg group group_keys a in
-          let vb = eval_agg group group_keys b in
-          cmp_values op va vb
-        | Arith (op, a, b) ->
-          let va = eval_agg group group_keys a in
-          let vb = eval_agg group group_keys b in
-          arith_values op va vb
-        | Case _ | Col _ | Predict _ | And _ | Or _ | Not _ ->
-          (* fall back: evaluate on the representative row *)
-          (match group with
-           | env :: _ -> eval env e
-           | [] -> Value.Null)
-        | Agg _ -> assert false))
+(* Row context: leaves read the row's values and predictions. *)
+let eval env =
+  eval_with (function
+    | Col name ->
+      (match Dataframe.Schema.index_opt env.schema name with
+       | Some i -> env.values.(i)
+       | None -> raise (Runtime_error (Printf.sprintf "unknown column %S" name)))
+    | Predict target ->
+      (match List.assoc_opt target env.predictions with
+       | Some v -> v
+       | None -> raise (Runtime_error (Printf.sprintf "no prediction for %S" target)))
+    | _ -> raise (Runtime_error "aggregate outside aggregation context"))
+
+let aggregate group fn arg =
+  let values =
+    match arg with
+    | None -> List.map (fun _ -> Value.Int 1) group
+    | Some a -> List.map (fun env -> eval env a) group
+  in
+  let numerics =
+    List.filter_map (fun v -> if Value.is_null v then None else Value.to_float v) values
+  in
+  match fn with
+  | Count ->
+    (match arg with
+     | None -> Value.Int (List.length group)
+     | Some _ ->
+       Value.Int (List.length (List.filter (fun v -> not (Value.is_null v)) values)))
+  | Sum -> Value.Float (List.fold_left ( +. ) 0.0 numerics)
+  | Avg ->
+    (match numerics with
+     | [] -> Value.Null
+     | _ ->
+       Value.Float
+         (List.fold_left ( +. ) 0.0 numerics /. float_of_int (List.length numerics)))
+  | Min ->
+    (match List.filter (fun v -> not (Value.is_null v)) values with
+     | [] -> Value.Null
+     | v :: rest -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v rest)
+  | Max ->
+    (match List.filter (fun v -> not (Value.is_null v)) values with
+     | [] -> Value.Null
+     | v :: rest -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v rest)
+
+(* Group context: aggregates fold over the group's rows, wherever they
+   sit in the expression; columns and predictions read the group's
+   representative row (all rows of a group agree on its key
+   expressions), or NULL in the one empty group of an ungrouped
+   aggregate over no rows. *)
+let eval_agg group =
+  eval_with (function
+    | Agg (fn, arg) -> aggregate group fn arg
+    | leaf -> (match group with env :: _ -> eval env leaf | [] -> Value.Null))
 
 let find_table ctx name =
   match Hashtbl.find_opt ctx.tables name with
@@ -199,74 +192,32 @@ let find_model ctx target =
 
 let now () = Unix.gettimeofday ()
 
-(* ------------------------------------------------------------------ *)
-(* WHERE-guard offload: column-vs-literal conjuncts lower to the VM's
-   bitmap prefilter ({!Vm.Lower.filter}) when that path provably agrees
-   with [eval]'s semantics. [eval] compares values with [Value.compare],
-   which ranks across constructors (Bool < numeric < String) and aliases
-   Int/Float numerically; the VM compares dictionary codes (equality) or
-   column float images (ranges). The two agree exactly when:
-
-   - equality on a String/Bool literal: dictionary codes are structural,
-     and cross-constructor ranks never compare equal;
-   - equality or a range on an Int/Float literal over a column whose
-     dictionary holds only Int/Float/Null: NULL cells fail both paths
-     ([eval] short-circuits a NULL operand to false, the VM maps it to
-     NaN which fails every range), and numeric cells compare numerically
-     on both. Numeric equality lowers as a degenerate BETWEEN so Int 1
-     matches a Float 1.0 cell, exactly like [Value.compare];
-   - [<] and [<=] additionally require the dictionary to be NaN-free:
-     OCaml's [Float.compare] totalizes NaN below every number, so eval
-     accepts [x < k] for a NaN cell where the VM's NaN-fails-ranges
-     kernel rejects it. ([>], [>=] and [=] reject NaN on both paths.)
-
-   Anything else (NULL literals, <>, mixed-type columns, compound
-   expressions) stays on the residual eval path. *)
-
-let numeric_only_dict frame col =
-  Array.for_all
-    (function
-      | Value.Int _ | Value.Float _ | Value.Null -> true
-      | Value.Bool _ | Value.String _ -> false)
-    (Dataframe.Column.dict (Frame.column frame col))
-
-let nan_free_numeric_dict frame col =
-  Array.for_all
-    (function
-      | Value.Int _ | Value.Null -> true
-      | Value.Float f -> not (Float.is_nan f)
-      | Value.Bool _ | Value.String _ -> false)
-    (Dataframe.Column.dict (Frame.column frame col))
-
-let guard_of_conjunct frame schema e =
-  let col_lit = function
-    | Cmp (op, Col c, Lit v) -> Some (op, c, v)
-    | Cmp (op, Lit v, Col c) ->
-      let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | o -> o in
-      Some (flip op, c, v)
-    | _ -> None
-  in
-  match col_lit e with
-  | None -> None
-  | Some (op, name, v) ->
-    (match Dataframe.Schema.index_opt schema name with
-     | None -> None
-     | Some col ->
-       (match op, v with
-        | Eq, (Value.String _ | Value.Bool _) ->
-          Some (col, Vm.Lower.Guard_eq v)
-        | Eq, (Value.Int _ | Value.Float _) when numeric_only_dict frame col ->
-          let f = Option.get (Value.to_float v) in
-          Some (col, Vm.Lower.Guard_between (f, f))
-        | (Gt | Ge), (Value.Int _ | Value.Float _)
-          when numeric_only_dict frame col ->
-          let f = Option.get (Value.to_float v) in
-          Some (col, if op = Gt then Vm.Lower.Guard_gt f else Vm.Lower.Guard_ge f)
-        | (Lt | Le), (Value.Int _ | Value.Float _)
-          when nan_free_numeric_dict frame col ->
-          let f = Option.get (Value.to_float v) in
-          Some (col, if op = Lt then Vm.Lower.Guard_lt f else Vm.Lower.Guard_le f)
-        | _ -> None))
+(* WHERE conjuncts over one column: such a conjunct depends on a row only
+   through that column's value, so [eval] runs once per dictionary entry
+   and rows pass or fail by their code. This is [eval] itself, so it
+   agrees with row-at-a-time evaluation on every operator and value
+   (NULL, NaN, mixed types). Returns the column's codes and per-code
+   verdicts, or [None] — keeping the conjunct on the per-row path — when
+   it reads zero or several columns, or when [eval] raises on some
+   entry, so errors surface exactly where row-at-a-time evaluation
+   raises them. *)
+let dict_verdicts frame schema e =
+  match List.sort_uniq String.compare (Sql_ast.columns e) with
+  | [ name ] ->
+    Option.bind (Dataframe.Schema.index_opt schema name) (fun col ->
+        let column = Frame.column frame col in
+        let values = Array.make (Frame.ncols frame) Value.Null in
+        let env = { schema; values; predictions = [] } in
+        match
+          Array.map
+            (fun v ->
+              values.(col) <- v;
+              truthy (eval env e))
+            (Dataframe.Column.dict column)
+        with
+        | pass -> Some (Dataframe.Column.codes column, pass)
+        | exception Runtime_error _ -> None)
+  | _ -> None
 
 (* Retained rebound-guard layouts (most recent first). *)
 let rebound_limit = 4
@@ -319,33 +270,22 @@ let run ctx sql =
   let inference_s = ref 0.0 in
   let violations = ref 0 in
   let rows_predicted = ref 0 in
-  (* scan + pre-filter: offloadable conjuncts run as one VM bitmap pass
-     over the columnar data; only surviving rows are materialized and
-     checked against the residual conjuncts *)
-  let guards, residual =
-    List.partition_map
+  (* scan + pre-filter: conjuncts run in written order per row, as
+     row-at-a-time evaluation would; single-column ones read the row's
+     code, and a row is materialized only when a conjunct needs it *)
+  let pre_filter =
+    List.map
       (fun e ->
-        match guard_of_conjunct frame schema e with
-        | Some g -> Left g
-        | None -> Right e)
+        match dict_verdicts frame schema e with
+        | Some (codes, pass) -> fun _ i -> pass.(codes.(i))
+        | None -> fun env _ -> truthy (eval (Lazy.force env) e))
       plan.Plan.pre_filter
-  in
-  let prefilter =
-    match guards with
-    | [] -> None
-    | gs -> Some (Vm.Exec.run (Vm.Lower.filter frame gs) frame).Vm.Exec.any
   in
   let kept = ref [] in
   for i = n - 1 downto 0 do
-    let pass =
-      match prefilter with None -> true | Some bm -> Vm.Bitmap.get bm i
-    in
-    if pass then begin
-      let values = Frame.row frame i in
-      let env0 = { schema; values; predictions = [] } in
-      if List.for_all (fun e -> truthy (eval env0 e)) residual then
-        kept := (i, env0) :: !kept
-    end
+    let env = lazy { schema; values = Frame.row frame i; predictions = [] } in
+    if List.for_all (fun pass -> pass env i) pre_filter then
+      kept := (i, Lazy.force env) :: !kept
   done;
   (* prediction with guardrail interception: surviving rows are gathered
      into a sub-frame (sharing the table's dictionaries, so the guard's
@@ -426,15 +366,14 @@ let run ctx sql =
       List.map
         (fun key ->
           let group = List.rev (Option.value ~default:[] (Hashtbl.find_opt groups key)) in
-          let group_keys = List.combine plan.Plan.group_by key in
           let row =
             Array.of_list
               (List.map
-                 (fun (item : select_item) -> eval_agg group group_keys item.expr)
+                 (fun (item : select_item) -> eval_agg group item.expr)
                  plan.Plan.select)
           in
           let order_values =
-            List.map (fun (e, _) -> eval_agg group group_keys e) plan.Plan.order_by
+            List.map (fun (e, _) -> eval_agg group e) plan.Plan.order_by
           in
           (row, order_values))
         keys

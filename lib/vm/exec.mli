@@ -16,9 +16,3 @@ type verdicts = {
     dictionaries the program was lowered against. *)
 val run :
   ?groups:Dataframe.Group.Cache.t -> Program.t -> Dataframe.Frame.t -> verdicts
-
-(** Scalar fallback over one materialized row (values indexed by
-    absolute column). Returns [(stmt, rule)] violations in statement
-    order — the 1-row VM entry behind [Validator.check_values]. *)
-val check_values :
-  Ruleset.t array -> Dataframe.Value.t array -> (int * int) list

@@ -20,7 +20,7 @@
      fused column scans with no per-row key construction at all.
    - mask form, few multi-column rules: one EQ/AND chain per rule.
      Range-keyed rules always take this form when few enough, with
-     RANGE/LE/GE ops in place of EQ.
+     RANGE ops (one-sided atoms as infinite bounds) in place of EQ.
    - table form, everything else: one TABLE op. Rows are partitioned by
      the GIVEN columns through the shared Dataframe.Group CSR index
      (mixed-radix key under the cap, hashed above it) and each
@@ -218,12 +218,9 @@ let lower_stmt b ~cap frame ~s1 ~s2 ~dst rs =
         (* unresolvable equality: handled by the caller's skip *)
         let code = Option.get (Column.code_of_value cols.(j) v) in
         emit b (Op.Eq { col = given.(j); code; dst = reg })
-      | Domain.Between { lo; hi } ->
-        emit b (Op.Range { fld = field_for b frame given.(j); lo; hi; dst = reg })
-      | Domain.Le bound ->
-        emit b (Op.Le { fld = field_for b frame given.(j); bound; dst = reg })
-      | Domain.Ge bound ->
-        emit b (Op.Ge { fld = field_for b frame given.(j); bound; dst = reg }));
+      | (Domain.Between _ | Domain.Le _ | Domain.Ge _) as a ->
+        let lo, hi = interval_of_atom a in
+        emit b (Op.Range { fld = field_for b frame given.(j); lo; hi; dst = reg }));
       if not first then emit b (Op.And { src = s2; dst = s1 })
     in
     let resolvable (rule : Ruleset.rule) =
@@ -402,67 +399,3 @@ let lower ?(cap = default_cap) frame (rules : Ruleset.t array) =
   Obs.Span.add_attr "ops" (string_of_int (Program.n_ops p));
   Obs.Span.add_attr "tables" (string_of_int (Program.n_tables p));
   p
-
-(* ------------------------------------------------------------------ *)
-(* Conjunctive row filters: the SQL-guard prefilter path.              *)
-
-type guard =
-  | Guard_eq of Value.t
-  | Guard_lt of float
-  | Guard_le of float
-  | Guard_gt of float
-  | Guard_ge of float
-  | Guard_between of float * float
-
-(* Lower a conjunction of per-column guards to a 1-register program:
-   running it yields the bitmap of rows satisfying every guard (NULLs
-   and non-numeric cells fail numeric guards, as in SQL three-valued
-   logic). An equality on a value absent from the column's dictionary
-   short-circuits to the empty program — no row can match. *)
-let filter frame (guards : (int * guard) list) =
-  let ncols = Frame.ncols frame in
-  List.iter
-    (fun (c, _) ->
-      if c < 0 || c >= ncols then
-        invalid_arg "Vm.Lower.filter: column out of range")
-    guards;
-  let b = new_builder () in
-  let satisfiable =
-    List.for_all
-      (fun (c, g) ->
-        match g with
-        | Guard_eq v -> Column.code_of_value (Frame.column frame c) v <> None
-        | _ -> true)
-      guards
-  in
-  if satisfiable then
-    List.iteri
-      (fun i (c, g) ->
-        let reg = if i = 0 then 0 else 1 in
-        (match g with
-        | Guard_eq v ->
-          let code =
-            Option.get (Column.code_of_value (Frame.column frame c) v)
-          in
-          emit b (Op.Eq { col = c; code; dst = reg })
-        | Guard_lt bound -> emit b (Op.Lt { fld = field_for b frame c; bound; dst = reg })
-        | Guard_le bound -> emit b (Op.Le { fld = field_for b frame c; bound; dst = reg })
-        | Guard_gt bound -> emit b (Op.Gt { fld = field_for b frame c; bound; dst = reg })
-        | Guard_ge bound -> emit b (Op.Ge { fld = field_for b frame c; bound; dst = reg })
-        | Guard_between (lo, hi) ->
-          emit b (Op.Range { fld = field_for b frame c; lo; hi; dst = reg }));
-        if i > 0 then emit b (Op.And { src = 1; dst = 0 }))
-      guards;
-  let cols, dicts = record_cols frame (List.map fst guards) in
-  {
-    Program.source = [||];
-    ops = (if satisfiable then Array.of_list (List.rev b.ops) else [||]);
-    n_regs = 2;
-    stmt_reg = [| 0 |];
-    sets = [||];
-    masks = [||];
-    tables = [||];
-    fields = Array.of_list (List.rev b.fields);
-    cols;
-    dicts;
-  }

@@ -25,7 +25,7 @@ type key_index =
       (* range keys: resolve each partition's representative row through
          [Ruleset.find_by] at value level (once per partition, not per row) *)
 
-(* A column's float image, shared by the comparison ops and range-expect
+(* A column's float image, shared by the RANGE ops and range-expect
    tables: fvals.(code) = Value.to_float dict.(code), NaN when the entry
    has no float image (Null, String). Code arrays stay the only per-row
    data the VM touches. *)
@@ -67,7 +67,7 @@ type t = {
   sets : Bytes.t array;            (* IN-instruction code masks *)
   masks : Bytes.t array;           (* accepted-code masks for aliased expects *)
   tables : table array;
-  fields : field array;            (* float images for comparison ops *)
+  fields : field array;            (* float images for RANGE ops *)
   cols : int array;                (* columns the program reads *)
   dicts : Value.t array array;     (* their dictionaries at lowering *)
 }

@@ -17,11 +17,10 @@
 
    Mixing equality and range atoms at one position, or overlapping
    intervals, would make "which rule matches" ambiguous and is rejected.
-   The assignment check uses [Domain.atom_holds] (numeric-tolerant
-   [Value.equal] for [Eq]), again mirroring the row interpreter. The
-   lowering pass (Vm.Lower) turns rulesets into bytecode; [check_row] is
-   the scalar 1-row entry point the batch path shares with per-row
-   callers. *)
+   The assignment check is [Domain.atom_holds] (numeric-tolerant
+   [Value.equal] for [Eq]). The lowering pass (Vm.Lower) turns rulesets
+   into bytecode; [find]/[find_by] recover the rule a violating row
+   matched. *)
 
 module Value = Dataframe.Value
 module Domain = Dataframe.Domain
@@ -174,14 +173,3 @@ let winning t i =
   with
   | Some r -> r = i
   | None -> false
-
-(* Scalar probe of one materialized row: the matched-and-violating rule,
-   if any. One key-array allocation per call — the whole of the former
-   per-row cost (the row interpreter rebuilt a cons list per statement
-   per row). *)
-let check_row t (values : Value.t array) =
-  match find_by t (fun j -> Array.unsafe_get values t.given.(j)) with
-  | None -> None
-  | Some i ->
-    if Domain.atom_holds t.rules.(i).assignment values.(t.on) then None
-    else Some i

@@ -50,8 +50,3 @@ val find : t -> Dataframe.Value.t array -> int option
 (** Does rule [i]'s own key resolve to [i]? False means a later rule
     shadows it; lowering drops shadowed rules. *)
 val winning : t -> int -> bool
-
-(** [check_row t values] probes one materialized row ([values] indexed
-    by absolute column) and returns the violated rule, if any: the row
-    matches it but fails its assignment atom. *)
-val check_row : t -> Dataframe.Value.t array -> int option

@@ -189,9 +189,9 @@ let test_exec_between () =
   Alcotest.(check int) "rows" 3 (List.length r.Exec.rows);
   Alcotest.(check value) "first" (s "ann") (List.hd r.Exec.rows).(0)
 
-(* The VM range prefilter must agree with pure row-at-a-time eval on
-   every guard shape it offloads — and leave alone the shapes it cannot
-   prove (mixed-type columns keep Value.compare's rank semantics). *)
+(* WHERE conjuncts over one column are evaluated once per dictionary
+   entry; they must agree with row-at-a-time eval, including on
+   mixed-type columns (Value.compare's rank semantics). *)
 let test_range_prefilter_differential () =
   let rng = Stat.Rng.create 51 in
   let schema =
@@ -208,8 +208,7 @@ let test_range_prefilter_differential () =
           | _ -> Value.Float (100.0 *. Stat.Rng.float rng)
         in
         let mix =
-          (* deliberately not numeric-only: the executor must keep these
-             conjuncts on the residual eval path *)
+          (* deliberately not numeric-only *)
           match Stat.Rng.int rng 4 with
           | 0 -> s (Printf.sprintf "m%d" (Stat.Rng.int rng 3))
           | 1 -> Value.Null
@@ -246,6 +245,162 @@ let test_range_prefilter_differential () =
   Alcotest.(check int) "mixed-type column keeps rank semantics"
     (reference (fun r -> cmp ( >= ) r.(2) (Value.Int 25)))
     (count "SELECT COUNT(*) FROM t WHERE mix >= 25")
+
+(* A single-column conjunct on which eval raises for some dictionary
+   entry stays on the per-row path: here [x + 1] raises on the string
+   cells, which only g0 rows hold, and [grp = 'g1'] removes those rows
+   first, so the query returns its count instead of raising. *)
+let test_dict_eval_error_fallback () =
+  let schema = Schema.make [ Schema.categorical "grp"; Schema.categorical "x" ] in
+  let rows =
+    List.init 40 (fun i ->
+        let grp = Printf.sprintf "g%d" (i mod 2) in
+        let x = if i mod 4 = 0 then s "oops" else Value.Int (i mod 5) in
+        [| s grp; x |])
+  in
+  let ctx = Exec.create () in
+  Exec.register_table ctx "t" (Frame.of_rows schema rows);
+  let expected =
+    List.length
+      (List.filter
+         (fun r ->
+           r.(0) = s "g1"
+           && match r.(1) with Value.Int x -> x + 1 > 2 | _ -> false)
+         rows)
+  in
+  Alcotest.(check (list value)) "count" [ Value.Int expected ]
+    (Array.to_list
+       (List.hd
+          (Exec.run ctx "SELECT COUNT(*) FROM t WHERE grp = 'g1' AND x + 1 > 2")
+            .Exec.rows));
+  Alcotest.(check bool) "the per-row error still surfaces" true
+    (try ignore (Exec.run ctx "SELECT COUNT(*) FROM t WHERE x + 1 > 2"); false
+     with Exec.Runtime_error _ -> true)
+
+(* A float literal too long for an int reads as infinity; inf - inf is
+   NaN, which the SQL surface cannot spell otherwise. *)
+let nan_sql =
+  let inf = String.make 400 '9' ^ ".0" in
+  Printf.sprintf "(%s - %s)" inf inf
+
+let gen_where col =
+  let open QCheck.Gen in
+  let lit =
+    oneof
+      [
+        map string_of_int (int_bound 40);
+        map (Printf.sprintf "%d.5") (int_bound 40);
+        oneofl [ "'a'"; "'b'"; "'zz'"; "NULL"; "TRUE"; "0"; "0.0"; nan_sql ];
+      ]
+  in
+  let rec value d =
+    if d = 0 then frequency [ (3, return col); (2, lit) ]
+    else
+      frequency
+        [
+          (3, return col);
+          (2, lit);
+          ( 2,
+            map3 (Printf.sprintf "(%s %s %s)") (value (d - 1))
+              (oneofl [ "+"; "-"; "*"; "/" ])
+              (value (d - 1)) );
+          ( 1,
+            map3 (Printf.sprintf "CASE WHEN %s THEN %s ELSE %s END")
+              (pred (d - 1)) (value (d - 1)) (value (d - 1)) );
+        ]
+  and pred d =
+    let cmp =
+      map3 (Printf.sprintf "(%s %s %s)") (value d)
+        (oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ])
+        (value d)
+    in
+    let between =
+      map3 (Printf.sprintf "(%s BETWEEN %s AND %s)") (value d) lit lit
+    in
+    if d = 0 then oneof [ cmp; between ]
+    else
+      frequency
+        [
+          (3, cmp);
+          (1, between);
+          (1, map (Printf.sprintf "(NOT %s)") (pred (d - 1)));
+          (1, map2 (Printf.sprintf "(%s OR %s)") (pred (d - 1)) (pred (d - 1)));
+          (1, map2 (Printf.sprintf "(%s AND %s)") (pred (d - 1)) (pred (d - 1)));
+        ]
+  in
+  pred 2
+
+let where_table seed =
+  let rng = Stat.Rng.create seed in
+  let pick pool = pool.(Stat.Rng.int rng (Array.length pool)) in
+  let num =
+    [| Value.Null; Value.Float Float.nan; Value.Int 0; Value.Int 7; Value.Int 20;
+       Value.Float 7.0; Value.Float 12.5; Value.Float (-3.5); Value.Int 40 |]
+  in
+  let mix =
+    [| Value.Null; Value.Float Float.nan; Value.Int 7; Value.Float 20.5;
+       s "a"; s "zz"; Value.Bool true; Value.Bool false |]
+  in
+  let str = [| Value.Null; s "a"; s "b"; s "c"; s "zz" |] in
+  let schema =
+    Schema.make
+      [ Schema.categorical "k"; Schema.numeric "num"; Schema.categorical "mix";
+        Schema.categorical "str" ]
+  in
+  Frame.of_rows schema
+    (List.init 40 (fun i ->
+         [| s (Printf.sprintf "r%d" i); pick num; pick mix; pick str |]))
+
+(* Random single-column predicates: comparisons, BETWEEN, NOT/OR/AND,
+   CASE, arithmetic (division by zero included), NULL and NaN constants,
+   over a numeric column holding NaN and NULL, a mixed-type column and a
+   string column. Each query runs twice: as written (one conjunct over
+   one column, evaluated per dictionary entry) and as [(p) OR k <> k]
+   over the non-null key [k], which reads two columns and so takes the
+   per-row path. Selected rows and raised errors must agree. *)
+
+let qcheck_where_dict_eval =
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound 1000) (oneofl [ "num"; "mix"; "str" ] >>= gen_where))
+  in
+  QCheck.Test.make ~name:"single-column WHERE agrees with per-row eval"
+    ~count:300
+    (QCheck.make ~print:(fun (seed, p) -> Printf.sprintf "seed %d: %s" seed p) gen)
+    (fun (seed, p) ->
+      let ctx = Exec.create () in
+      Exec.register_table ctx "t" (where_table seed);
+      let selected where =
+        match Exec.run ctx ("SELECT k FROM t WHERE " ^ where) with
+        | r -> Ok (List.map (fun row -> row.(0)) r.Exec.rows)
+        | exception Exec.Runtime_error _ -> Error ()
+      in
+      selected p = selected (Printf.sprintf "(%s) OR k <> k" p))
+
+(* Aggregates under CASE, AND and NOT in grouped queries: each
+   aggregate folds over its group wherever it sits in the expression. *)
+let test_exec_grouped_aggregate_connectives () =
+  let schema = Schema.make [ Schema.categorical "g"; Schema.numeric "x" ] in
+  (* group a: 20 rows, x = 1..20 (sum 210); group b: 10 rows (sum 55) *)
+  let rows =
+    List.init 20 (fun i -> [| s "a"; Value.Int (i + 1) |])
+    @ List.init 10 (fun i -> [| s "b"; Value.Int (i + 1) |])
+  in
+  let ctx = Exec.create () in
+  Exec.register_table ctx "t" (Frame.of_rows schema rows);
+  let check name q expected =
+    Alcotest.(check (list (list value))) name expected
+      (List.map Array.to_list (Exec.run ctx q).Exec.rows)
+  in
+  check "CASE over COUNT"
+    "SELECT g, CASE WHEN COUNT(*) > 15 THEN 'big' ELSE 'small' END FROM t GROUP BY g"
+    [ [ s "a"; s "big" ]; [ s "b"; s "small" ] ];
+  check "AND of aggregates"
+    "SELECT g, COUNT(*) > 15 AND SUM(x) > 100 FROM t GROUP BY g"
+    [ [ s "a"; Value.Bool true ]; [ s "b"; Value.Bool false ] ];
+  check "NOT over COUNT"
+    "SELECT g, NOT (COUNT(*) > 15) FROM t GROUP BY g"
+    [ [ s "a"; Value.Bool false ]; [ s "b"; Value.Bool true ] ]
 
 let test_exec_unknown_table_and_column () =
   let ctx = ctx_with_people () in
@@ -451,6 +606,11 @@ let () =
           Alcotest.test_case "between" `Quick test_exec_between;
           Alcotest.test_case "range prefilter differential" `Quick
             test_range_prefilter_differential;
+          Alcotest.test_case "dictionary eval error fallback" `Quick
+            test_dict_eval_error_fallback;
+          QCheck_alcotest.to_alcotest qcheck_where_dict_eval;
+          Alcotest.test_case "grouped aggregates under connectives" `Quick
+            test_exec_grouped_aggregate_connectives;
           Alcotest.test_case "unknown names" `Quick test_exec_unknown_table_and_column;
           Alcotest.test_case "numeric vector" `Quick test_numeric_vector;
           Alcotest.test_case "order by" `Quick test_exec_order_by;

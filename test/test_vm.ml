@@ -1,10 +1,10 @@
 (* Differential tests for the predicate-bytecode VM: on random programs
    and random frames the batch (bitmap) validator must agree bit-for-bit
-   with the row-at-a-time reference path, including the awkward corners
-   — empty frames, all-violating rows, Int/Float dictionary aliasing,
+   with the row-at-a-time oracle ([Oracle]), including the awkward
+   corners — empty frames, all-violating rows, Int/Float dictionary aliasing,
    duplicate decision keys, and high-cardinality determinant spaces that
    push grouping past the mixed-radix cap. Plus unit tests for the
-   bitmap kernel, the ANY reduce, set_cells and the bytecode cache. *)
+   bitmap kernel, set_cells and the bytecode cache. *)
 
 module Value = Dataframe.Value
 module Schema = Dataframe.Schema
@@ -117,12 +117,12 @@ let frames_eq a b =
 let check_differential frame prog =
   let c = Validator.compile prog in
   let vm = Validator.violations c frame in
-  let rows = Validator.violations_rows c frame in
+  let rows = Oracle.violations_rows c frame in
   if not (violations_eq vm rows) then
     Alcotest.failf "violations diverge: vm=%d rows=%d" (List.length vm)
       (List.length rows);
   let d_vm = Validator.detect c frame in
-  let d_rows = Validator.detect_rows c frame in
+  let d_rows = Oracle.detect_rows c frame in
   Alcotest.(check (array bool)) "detect" d_rows d_vm;
   let bm = Validator.detect_bitmap c frame in
   Alcotest.(check int) "bitmap count"
@@ -131,22 +131,22 @@ let check_differential frame prog =
   List.iter
     (fun strategy ->
       let f_vm, v_vm = Validator.handle ~strategy c frame in
-      let f_rows, v_rows = Validator.handle_rows ~strategy c frame in
+      let f_rows, v_rows = Oracle.handle_rows ~strategy c frame in
       if not (violations_eq v_vm v_rows) then
         Alcotest.fail "handle violations diverge";
       if not (frames_eq f_vm f_rows) then
         Alcotest.failf "repaired frames diverge (%s)"
           (Validator.strategy_to_string strategy))
     [ Validator.Rectify; Validator.Coerce ];
-  (* scalar path: per-row check_values agrees with the batch rows *)
+  (* one materialized row at a time agrees with the VM's rows *)
   for i = 0 to Frame.nrows frame - 1 do
-    let scalar = Validator.check_values c (Frame.row frame i) in
+    let scalar = Oracle.check_values c (Frame.row frame i) in
     let batch =
       List.filter_map
         (fun v ->
           if v.Validator.row = i then Some { v with Validator.row = -1 }
           else None)
-        rows
+        vm
     in
     if not (violations_eq scalar batch) then
       Alcotest.failf "scalar/batch diverge at row %d" i
@@ -309,7 +309,7 @@ let test_subset_reuses_lowering () =
   let sub = Frame.take frame (Array.init 10 (fun i -> i * 3)) in
   check_differential sub prog;
   Alcotest.(check (array bool)) "subset detect"
-    (Validator.detect_rows c sub) (Validator.detect c sub)
+    (Oracle.detect_rows c sub) (Validator.detect c sub)
 
 (* ---------------------------------------------------------------- *)
 (* Bytecode cache counters *)
@@ -377,50 +377,6 @@ let qcheck_bitmap_ops =
       && List.length asc = Vm.Bitmap.count x)
 
 (* ---------------------------------------------------------------- *)
-(* The ANY group-scoped reduce *)
-
-let test_any_reduce () =
-  (* table-lowered statement, then ANY over the statement register:
-     every row of a partition containing a violation gets flagged *)
-  let schema = Schema.make [ Schema.categorical "g"; Schema.categorical "y" ] in
-  let rows =
-    (* 10 keys to exceed the mask-bucket bound and force TABLE *)
-    List.concat
-      (List.init 10 (fun j ->
-           let g = Printf.sprintf "g%d" j in
-           let ok = Printf.sprintf "y%d" j in
-           [ [| s g; s ok |]; [| s g; s (if j = 3 then "bad" else ok) |] ]))
-  in
-  let frame = Frame.of_rows schema rows in
-  let branches =
-    List.init 10 (fun j ->
-        Dsl.branch
-          ~condition:[ Dsl.eq 0 (s (Printf.sprintf "g%d" j)) ]
-          ~assignment:(Dsl.Eq (s (Printf.sprintf "y%d" j))))
-  in
-  let prog = Dsl.prog ~schema [ Dsl.stmt ~given:[ 0 ] ~on:1 ~branches ] in
-  let c = Validator.compile prog in
-  let p = Validator.bytecode c frame in
-  Alcotest.(check int) "table lowering" 1 (Vm.Program.n_tables p);
-  let reg = p.Vm.Program.stmt_reg.(0) in
-  let p' =
-    {
-      p with
-      Vm.Program.ops =
-        Array.append p.Vm.Program.ops
-          [| Vm.Op.Any { table = 0; src = reg; dst = reg } |];
-    }
-  in
-  let v = Vm.Exec.run p' frame in
-  (* only group g3 contains a violation; ANY must flag both its rows *)
-  let flags = Vm.Bitmap.to_bool_array v.Vm.Exec.any in
-  Array.iteri
-    (fun i f ->
-      let expected = i = 6 || i = 7 in
-      if f <> expected then Alcotest.failf "row %d: got %b" i f)
-    flags
-
-(* ---------------------------------------------------------------- *)
 (* Frame.set_cells *)
 
 let qcheck_set_cells =
@@ -466,7 +422,6 @@ let () =
       ( "vm",
         [
           Alcotest.test_case "cache counters" `Quick test_cache_counters;
-          Alcotest.test_case "any reduce" `Quick test_any_reduce;
         ] );
       ( "dataframe",
         [ QCheck_alcotest.to_alcotest qcheck_set_cells ] );
