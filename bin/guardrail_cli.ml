@@ -30,7 +30,6 @@ let load_constraints frame path =
 (* synthesize *)
 
 let synthesize csv_path output epsilon alpha identity_sampler jobs trace quiet =
-  let frame = Dataframe.Csv.load csv_path in
   let config =
     Guardrail.Config.make ~epsilon ~alpha
       ~sampler:
@@ -38,17 +37,18 @@ let synthesize csv_path output epsilon alpha identity_sampler jobs trace quiet =
          else Guardrail.Config.Auxiliary)
       ?jobs ()
   in
+  let run () =
+    let frame = Obs.Span.with_ "load" (fun () -> Dataframe.Csv.load csv_path) in
+    Guardrail.Synthesize.run ~config frame
+  in
   let result =
     match trace with
-    | None -> Guardrail.Synthesize.run ~config frame
+    | None -> run ()
     | Some trace_path ->
-      (* install a collector for the run, then export it as Chrome
-         trace-event JSON (open in about:tracing / Perfetto) *)
+      (* install a collector for the load and the run, then export it as
+         Chrome trace-event JSON (open in about:tracing / Perfetto) *)
       let collector = Obs.Collector.create () in
-      let result =
-        Obs.Trace.with_collector collector (fun () ->
-            Guardrail.Synthesize.run ~config frame)
-      in
+      let result = Obs.Trace.with_collector collector run in
       write_file trace_path (Obs.Trace.to_chrome_json collector);
       if not quiet then
         Printf.eprintf "trace: %d span(s) written to %s\n%s"

@@ -46,6 +46,8 @@ let of_values values =
 
 let of_list values = of_values (Array.of_list values)
 
+let of_encoded ~codes ~dict ~index = { codes; dict; index }
+
 let to_values t = Array.map (fun c -> t.dict.(c)) t.codes
 
 (* Functional single-cell update; re-encodes only when the new value is not

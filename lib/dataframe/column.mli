@@ -8,6 +8,13 @@ type t
 val of_values : Value.t array -> t
 val of_list : Value.t list -> t
 
+(** A column from parts already encoded, as [of_values] would build them:
+    [dict] holds distinct values in first-occurrence order, [index] maps
+    each to its position, and [codes] index [dict]. Not checked; the
+    parts are owned by the column afterwards. *)
+val of_encoded :
+  codes:int array -> dict:Value.t array -> index:(Value.t, int) Hashtbl.t -> t
+
 val length : t -> int
 
 (** Number of distinct values ever inserted (codes range over

@@ -244,18 +244,13 @@ module Cache = struct
     mutex : Mutex.t;
   }
 
-  (* Registered lazily so merely linking dataframe doesn't populate the
-     default registry. *)
-  let hits = lazy (Obs.Metric.counter Obs.Metric.default "group.cache.hits")
-
-  let misses =
-    lazy (Obs.Metric.counter Obs.Metric.default "group.cache.misses")
-
-  let extended =
-    lazy (Obs.Metric.counter Obs.Metric.default "group.cache.extended")
-
-  let rebuilt =
-    lazy (Obs.Metric.counter Obs.Metric.default "group.cache.rebuilt")
+  (* Created eagerly: caches are read from pool domains, and a [lazy]
+     handle forced from two domains at once raises
+     [CamlinternalLazy.Undefined]. *)
+  let hits = Obs.Metric.counter Obs.Metric.default "group.cache.hits"
+  let misses = Obs.Metric.counter Obs.Metric.default "group.cache.misses"
+  let extended = Obs.Metric.counter Obs.Metric.default "group.cache.extended"
+  let rebuilt = Obs.Metric.counter Obs.Metric.default "group.cache.rebuilt"
 
   let create ?(cap = default_cap) ?frame_key ~codes ~cards () =
     if Array.length codes <> Array.length cards then
@@ -304,7 +299,7 @@ module Cache = struct
      the new frame ([group.cache.rebuilt]). *)
   let advance ?(rebuild_threshold = default_rebuild_threshold) c frame =
     let rebuild () =
-      Obs.Metric.incr (Lazy.force rebuilt);
+      Obs.Metric.incr rebuilt;
       of_frame ~cap:c.cap frame
     in
     match c.frame_key with
@@ -321,7 +316,7 @@ module Cache = struct
             (fun (key, g) ->
               let cols = List.map (fun i -> next.codes.(i)) key in
               Hashtbl.replace next.table key (extend g cols next.n);
-              Obs.Metric.incr (Lazy.force extended))
+              Obs.Metric.incr extended)
             (snapshot_entries c);
           next
         | _ -> rebuild ())
@@ -343,10 +338,10 @@ module Cache = struct
     Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) @@ fun () ->
     match Hashtbl.find_opt c.table key with
     | Some g ->
-      Obs.Metric.incr (Lazy.force hits);
+      Obs.Metric.incr hits;
       g
     | None ->
-      Obs.Metric.incr (Lazy.force misses);
+      Obs.Metric.incr misses;
       let g =
         Obs.Span.with_ "group.key"
           ~attrs:(fun () ->

@@ -148,24 +148,51 @@ let iso8601_of_epoch e =
     Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" y m d (rem / 3600)
       (rem mod 3600 / 60) (rem mod 60)
 
+(* Shape of a numeric literal: [-?[0-9]+] is an integer; a plain decimal
+   ([-?] digits with at most one point, at least one digit) with an
+   optional exponent ([eE][+-]?[0-9]+) is a float. Nothing else is a
+   number: no sign [+], spaces, underscores, radix prefixes or
+   spelled-out infinities, so two distinct raw strings sniff to the
+   same number only when they spell it differently as decimals. *)
+type shape = Not_number | Integer | Decimal
+
+let shape s =
+  let n = String.length s in
+  let rec digits i = if i < n && s.[i] >= '0' && s.[i] <= '9' then digits (i + 1) else i in
+  let i0 = if n > 0 && s.[0] = '-' then 1 else 0 in
+  let i = digits i0 in
+  if i = n then if i > i0 then Integer else Not_number
+  else
+    let j = if s.[i] = '.' then digits (i + 1) else i in
+    let mantissa = i - i0 + (if j > i then j - i - 1 else 0) in
+    if mantissa = 0 then Not_number
+    else if j = n then Decimal
+    else if s.[j] = 'e' || s.[j] = 'E' then
+      let k = if j + 1 < n && (s.[j + 1] = '+' || s.[j + 1] = '-') then j + 2 else j + 1 in
+      let m = digits k in
+      if m > k && m = n then Decimal else Not_number
+    else Not_number
+
 (* Parse a raw CSV field with mild type sniffing. The empty string and the
-   conventional NA spellings become [Null]; ISO-8601 dates/timestamps
-   become epoch-seconds [Int]. *)
+   conventional NA spellings become [Null]; decimal integers that fit an
+   [int] become [Int], other decimals [Float]; ISO-8601
+   dates/timestamps become epoch-seconds [Int]. *)
 let of_raw s =
   match s with
   | "" | "NA" | "N/A" | "NaN" | "nan" | "null" | "NULL" -> Null
   | "true" | "True" | "TRUE" -> Bool true
   | "false" | "False" | "FALSE" -> Bool false
   | _ ->
-    (match int_of_string_opt s with
-     | Some i -> Int i
-     | None ->
-       (match float_of_string_opt s with
-        | Some f -> Float f
-        | None ->
-          (match of_iso8601 s with
-           | Some e -> Int e
-           | None -> String s)))
+    (match shape s with
+     | Integer ->
+       (match int_of_string_opt s with
+        | Some i -> Int i
+        | None -> Float (float_of_string s))
+     | Decimal -> Float (float_of_string s)
+     | Not_number ->
+       (match of_iso8601 s with
+        | Some e -> Int e
+        | None -> String s))
 
 let to_float = function
   | Int i -> Some (float_of_int i)

@@ -35,9 +35,12 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 (** Parse a raw CSV field with type sniffing. Empty string and common NA
-    spellings parse to [Null]; ISO-8601 dates and timestamps
-    ("YYYY-MM-DD", optionally "[T| ]HH:MM:SS[Z]", UTC) parse to
-    epoch-seconds [Int]. *)
+    spellings parse to [Null]; [-?[0-9]+] parses to [Int] when it fits
+    (to [Float] otherwise); a plain decimal with an optional exponent
+    ([-?], digits with at most one point, [[eE][+-]?[0-9]+]) parses to
+    [Float]; ISO-8601 dates and timestamps ("YYYY-MM-DD", optionally
+    "[T| ]HH:MM:SS[Z]", UTC) parse to epoch-seconds [Int]; anything else
+    (["+5"], [" 5"], ["0x1F"], ["1_000"], ["inf"]) stays a [String]. *)
 val of_raw : string -> t
 
 (** Epoch seconds of an ISO-8601 date or timestamp, or [None] when the

@@ -20,9 +20,11 @@ type t = {
   mutable stopping : bool;
   mutable active : int;        (* jobs currently executing *)
   mutable domains : unit Domain.t array;
+  failures : int Atomic.t;     (* posted jobs that raised *)
 }
 
 let size t = Array.length t.domains
+let failures t = Atomic.get t.failures
 
 let worker t () =
   let rec loop () =
@@ -39,7 +41,7 @@ let worker t () =
       let job = Queue.pop t.jobs in
       t.active <- t.active + 1;
       Mutex.unlock t.mutex;
-      (try job () with _ -> ());
+      (try job () with _ -> Atomic.incr t.failures);
       Mutex.lock t.mutex;
       t.active <- t.active - 1;
       if Queue.is_empty t.jobs && t.active = 0 then Condition.broadcast t.idle;
@@ -60,6 +62,7 @@ let create ?(size = 4) () =
       stopping = false;
       active = 0;
       domains = [||];
+      failures = Atomic.make 0;
     }
   in
   t.domains <- Array.init size (fun _ -> Domain.spawn (worker t));

@@ -1,8 +1,9 @@
 (** Fixed-size OCaml 5 [Domain] worker pool with a mutex/condition work
     queue, shared by the offline synthesis pipeline ([lib/core],
     [lib/pgm]) and the serving daemon ([lib/service]). Jobs must be
-    self-contained; exceptions escaping a {!post}ed job are swallowed,
-    exceptions from a {!submit}ted job re-raise at {!await}. *)
+    self-contained; an exception escaping a {!post}ed job is dropped and
+    counted in {!failures}, one from a {!submit}ted job re-raises at
+    {!await}. *)
 
 type t
 
@@ -16,6 +17,10 @@ val create : ?size:int -> unit -> t
 
 (** Worker count (0 after {!shutdown}). *)
 val size : t -> int
+
+(** Posted jobs that raised, since {!create}. The exception itself is
+    dropped: a caller that needs it should {!submit} instead. *)
+val failures : t -> int
 
 (** Enqueue a fire-and-forget job. Raises {!Stopped} after {!shutdown}.
     The caller's [Obs.Span] context is captured here and restored

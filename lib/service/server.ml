@@ -234,7 +234,9 @@ let stats_reply t =
       connections = s.Metrics.connections;
       served = s.Metrics.served;
       commands;
-      rendered = Metrics.render s;
+      rendered =
+        Metrics.render s
+        ^ Printf.sprintf "pool: %d failed job(s)\n" (Runtime.Pool.failures t.pool);
     }
 
 let dispatch t (req : Protocol.request) : Protocol.response =

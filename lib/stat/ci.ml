@@ -76,18 +76,17 @@ let effect_size ~kx ~ky ~n stat =
 
 let independent_result = { stat = 0.0; df = 0; p_value = 1.0; independent = true }
 
-(* Registered lazily so merely linking stat doesn't populate the
-   default registry. [tests] counts every call; [conservative] counts
-   the no-usable-signal early returns (stratum cap hit or all-degenerate
-   tables) where independence is declared without evidence. *)
-let tests_counter =
-  lazy (Obs.Metric.counter Obs.Metric.default "ci.tests")
+(* Created eagerly, at module initialization: a [lazy] handle forced
+   from two domains at once raises [CamlinternalLazy.Undefined].
+   [tests] counts every call; [conservative] counts the no-usable-signal
+   early returns (stratum cap hit or all-degenerate tables) where
+   independence is declared without evidence. *)
+let tests_counter = Obs.Metric.counter Obs.Metric.default "ci.tests"
 
-let conservative_counter =
-  lazy (Obs.Metric.counter Obs.Metric.default "ci.conservative")
+let conservative_counter = Obs.Metric.counter Obs.Metric.default "ci.conservative"
 
 let conservative () =
-  Obs.Metric.incr (Lazy.force conservative_counter);
+  Obs.Metric.incr conservative_counter;
   independent_result
 
 (* Conditional test: sum per-stratum statistics and dfs. When the stratum
@@ -100,7 +99,7 @@ let conservative () =
    for non-iid samples (the circular-shift sampler reuses every row once
    per shift). *)
 let test spec ?groups xs ys cond_codes cond_cards =
-  Obs.Metric.incr (Lazy.force tests_counter);
+  Obs.Metric.incr tests_counter;
   match
     Contingency.conditional ~kx:spec.kx ~ky:spec.ky ~max_strata:spec.max_strata
       ?groups xs ys cond_codes cond_cards

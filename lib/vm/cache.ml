@@ -35,11 +35,11 @@ type t = {
   mutable entries : entry list;  (* most recently inserted first *)
 }
 
-let hits = lazy (Obs.Metric.counter Obs.Metric.default "vm.cache.hits")
-let misses = lazy (Obs.Metric.counter Obs.Metric.default "vm.cache.misses")
-
-let advanced =
-  lazy (Obs.Metric.counter Obs.Metric.default "vm.cache.advanced")
+(* Created eagerly: a [lazy] handle forced from two domains at once
+   raises [CamlinternalLazy.Undefined]. *)
+let hits = Obs.Metric.counter Obs.Metric.default "vm.cache.hits"
+let misses = Obs.Metric.counter Obs.Metric.default "vm.cache.misses"
+let advanced = Obs.Metric.counter Obs.Metric.default "vm.cache.advanced"
 
 let default_max_entries = 8
 
@@ -65,10 +65,10 @@ let get t frame =
   Mutex.protect t.mutex @@ fun () ->
   match List.find_opt (fun e -> e.key = key) t.entries with
   | Some e ->
-    Obs.Metric.incr (Lazy.force hits);
+    Obs.Metric.incr hits;
     (e.program, e.groups)
   | None ->
-    Obs.Metric.incr (Lazy.force misses);
+    Obs.Metric.incr misses;
     let predecessor = List.find_opt (fun e -> fst e.key = fst key) t.entries in
     let program =
       match predecessor with
@@ -81,7 +81,7 @@ let get t frame =
     let groups =
       match predecessor with
       | Some e ->
-        Obs.Metric.incr (Lazy.force advanced);
+        Obs.Metric.incr advanced;
         Group.Cache.advance e.groups frame
       | None -> Group.Cache.of_frame ~cap:t.cap frame
     in

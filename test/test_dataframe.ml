@@ -34,7 +34,18 @@ let test_value_parse () =
   Alcotest.(check value) "bool" (Value.Bool true) (Value.of_raw "true");
   Alcotest.(check value) "null" Value.Null (Value.of_raw "");
   Alcotest.(check value) "na" Value.Null (Value.of_raw "N/A");
-  Alcotest.(check value) "string" (Value.String "abc") (Value.of_raw "abc")
+  Alcotest.(check value) "string" (Value.String "abc") (Value.of_raw "abc");
+  Alcotest.(check value) "leading zeros" (Value.Int 7) (Value.of_raw "007");
+  Alcotest.(check value) "exponent" (Value.Float 1000.) (Value.of_raw "1e3");
+  Alcotest.(check value) "trailing point" (Value.Float 2.) (Value.of_raw "2.");
+  Alcotest.(check value) "leading point" (Value.Float (-0.5)) (Value.of_raw "-.5");
+  Alcotest.(check value) "past max_int" (Value.Float 1e20)
+    (Value.of_raw "100000000000000000000");
+  (* OCaml literal syntax is not CSV number syntax *)
+  List.iter
+    (fun s -> Alcotest.(check value) s (Value.String s) (Value.of_raw s))
+    [ "0b101"; "0u12"; "0x1F"; "0o17"; "1_000"; "+5"; " 5"; "5 "; "Inf"; "inf";
+      "-infinity"; "NAN"; "-nan"; "1e"; "-"; "."; "1.2.3"; "0x1p3" ]
 
 let test_value_to_float () =
   Alcotest.(check (option (float 1e-9))) "int" (Some 3.0) (Value.to_float (Value.Int 3));
@@ -228,6 +239,157 @@ let test_csv_unterminated () =
        ignore (Csv.parse_string "a,\"oops");
        false
      with Csv.Parse_error _ -> true)
+
+(* Cells that OCaml's literal parsers would merge with a decimal (or
+   read as a float) each keep their own dictionary entry, and write
+   back byte for byte. *)
+let test_csv_distinct_spellings () =
+  let cells =
+    [ "5"; "0b101"; "12"; "0u12"; "31"; "0x1F"; "1000"; "1_000"; "Inf"; "infinity";
+      "NAN"; " 5"; "+5" ]
+  in
+  let text = "a\n" ^ String.concat "\n" cells ^ "\n" in
+  let f = Csv.of_string text in
+  let c = Frame.column f 0 in
+  Alcotest.(check int) "one entry per spelling" (List.length cells) (Column.cardinality c);
+  Alcotest.(check string) "bytes round-trip" text (Csv.to_string f)
+
+(* Names, kinds, codes and dictionaries (compared structurally, so
+   [Int 1] and [Float 1.] differ), and the binning [ensure_domains]
+   learns. *)
+let same_frame a b =
+  let n = Frame.ncols a in
+  let schema = Frame.schema a and schema' = Frame.schema b in
+  let a' = Frame.ensure_domains a and b' = Frame.ensure_domains b in
+  Frame.names a = Frame.names b
+  && Frame.nrows a = Frame.nrows b
+  && List.for_all
+       (fun j ->
+         let c = Frame.column a j and c' = Frame.column b j in
+         Schema.kind schema j = Schema.kind schema' j
+         && Column.codes c = Column.codes c'
+         && compare (Column.dict c) (Column.dict c') = 0
+         && Frame.attr_codes a' j = Frame.attr_codes b' j
+         && Frame.attr_card a' j = Frame.attr_card b' j
+         &&
+         match (Frame.binning a' j, Frame.binning b' j) with
+         | None, None -> true
+         | Some x, Some y -> Dataframe.Domain.equal_binning x y
+         | _ -> false)
+       (List.init n Fun.id)
+
+type 'a outcome = Loaded of 'a | Parse_failed of int * string | Invalid of string
+
+let outcome f =
+  match f () with
+  | x -> Loaded x
+  | exception Csv.Parse_error { line; message } -> Parse_failed (line, message)
+  | exception Invalid_argument m -> Invalid m
+
+let pp_outcome ppf = function
+  | Loaded _ -> Fmt.string ppf "loaded"
+  | Parse_failed (line, m) -> Fmt.pf ppf "parse error at line %d: %s" line m
+  | Invalid m -> Fmt.pf ppf "invalid: %s" m
+
+let same_load ?header text =
+  match
+    (outcome (fun () -> Csv.of_string ?header text),
+     outcome (fun () -> Oracle.csv_of_string ?header text))
+  with
+  | Loaded a, Loaded b -> same_frame a b
+  | (Parse_failed _ | Invalid _ as x), (Parse_failed _ | Invalid _ as y) -> x = y
+  | x, y -> QCheck.Test.fail_reportf "loader %a, oracle %a" pp_outcome x pp_outcome y
+
+(* Random CSV text covering what the loader must treat like the
+   row-list reference: quoting (commas, doubled quotes, embedded LF and
+   CRLF, text after a closing quote), CRLF endings, NA spellings and
+   booleans, ints and floats with aliasing spellings, ISO-8601 dates and
+   timestamps, mixed numeric/string columns, numeric columns with more
+   than 20 distinct values, blank lines inside and at the end, ragged
+   rows, and unterminated quotes. *)
+let gen_csv =
+  let open QCheck.Gen in
+  let cell =
+    frequency
+      [
+        (3, oneofl [ "a"; "b"; "x y"; "a\"b"; "\"\""; "\"a,b\""; "\"he said \"\"hi\"\"\"" ]);
+        (1, oneofl [ "\"two\nlines\""; "\"crlf\r\nin quotes\""; "\"x\"y"; "\"\"\"\"" ]);
+        (2, oneofl [ ""; "NA"; "N/A"; "NaN"; "nan"; "null"; "NULL" ]);
+        (1, oneofl [ "true"; "True"; "FALSE"; "false" ]);
+        (3, map string_of_int (int_range (-30) 30));
+        (2, oneofl [ "1"; "1.0"; "1e0"; "1."; "-0"; "0.5"; ".5"; "2.5e-3"; "007" ]);
+        (1, oneofl [ "0x1F"; "1_000"; " 5"; "+5"; "inf"; "-nan" ]);
+        (1, oneofl [ "2021-03-04"; "2021-03-04T05:06:07Z"; "2021-03-04 05:06:07"; "2021-02-30" ]);
+      ]
+  in
+  let numeric =
+    frequency
+      [ (8, map string_of_int (int_range 0 60)); (1, oneofl [ "1.0"; "1e0"; "2.5"; "NA"; "" ]) ]
+  in
+  let line_end = frequency [ (4, return "\n"); (1, return "\r\n") ] in
+  let* ncols = int_range 1 4 in
+  (* per column: numeric-only or mixed *)
+  let* kinds = list_repeat ncols bool in
+  (* one file in five has ragged rows *)
+  let* ragged = frequency [ (4, return 0); (1, return 10) ] in
+  let row =
+    let* cells = flatten_l (List.map (fun num -> if num then numeric else cell) kinds) in
+    let* short = frequency [ (100, return false); (ragged, return true) ] in
+    let* long = frequency [ (100, return false); (ragged, return true) ] in
+    let cells =
+      match cells with
+      | _ :: (_ :: _ as rest) when short -> rest
+      | cells -> if long then cells @ [ "extra" ] else cells
+    in
+    let* nl = line_end in
+    (* a blank line is a one-field record: ragged unless ncols = 1 *)
+    let* blank =
+      frequency [ (25, return ""); ((if ncols = 1 then 3 else ragged / 10), line_end) ]
+    in
+    return (String.concat "," cells ^ nl ^ blank)
+  in
+  let header = String.concat "," (List.init ncols (Printf.sprintf "h%d")) in
+  let* rows = list_size (int_range 0 40) row in
+  let* trailing = list_size (int_range 0 2) line_end in
+  let* tail = frequency [ (12, return ""); (1, return "\"unterminated"); (1, return "last,row") ] in
+  return (String.concat "" ((header ^ "\n") :: rows) ^ String.concat "" trailing ^ tail)
+
+let qcheck_csv_loader_matches_oracle =
+  QCheck.Test.make ~name:"Csv.of_string equals the row-list oracle" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_csv)
+    (fun text -> same_load text && same_load ~header:false text)
+
+let qcheck_csv_parse_matches_oracle =
+  QCheck.Test.make ~name:"Csv.parse_string equals the row-list oracle" ~count:300
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_csv)
+    (fun text ->
+      outcome (fun () -> Csv.parse_string text)
+      = outcome (fun () -> Oracle.csv_parse_string text))
+
+(* Edge cases the generator reaches only by luck. *)
+let test_csv_oracle_edges () =
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) (Printf.sprintf "%S" text) true
+        (same_load text && same_load ~header:false text))
+    [ ""; "\n"; "\r\n\r\n"; "a"; "a\n"; "\"\""; "a\n\"\""; "a\n\"\"\n"; "\na\n1\n";
+      "a\nx\n\ny\n\n"; "a,b\n\n1,2\n"; "a,b\n1,2\n\n\n"; "a,b\n1\n\"x"; "a,a\n1,2\n";
+      "a,b\n1,2,3\n4\n"; "a\n\"x\ny\"\n\n"; "a\r\nx\ry\r\n"; "a,b\n,\n"; "a\n\"\"x\n" ]
+
+(* Every evaluation dataset at its Table-2 size loads to the same frame
+   under both loaders. *)
+let test_csv_datagen_matches_oracle () =
+  List.iter
+    (fun spec ->
+      let _, frame = Datagen.Generate.dataset spec in
+      let text = Csv.to_string frame in
+      Alcotest.(check bool) spec.Datagen.Spec.name true
+        (same_frame (Csv.of_string text) (Oracle.csv_of_string text)))
+    Datagen.Spec.all;
+  let numeric, _ = Datagen.Numeric.mixed () in
+  let text = Csv.to_string numeric in
+  Alcotest.(check bool) "numeric mixed" true
+    (same_frame (Csv.of_string text) (Oracle.csv_of_string text))
 
 (* ------------------------------------------------------------------ *)
 (* Split *)
@@ -540,6 +702,10 @@ let () =
           Alcotest.test_case "trailing blank lines" `Quick
             test_csv_trailing_blank_lines;
           Alcotest.test_case "error line" `Quick test_csv_error_line;
+          Alcotest.test_case "distinct spellings" `Quick test_csv_distinct_spellings;
+          Alcotest.test_case "oracle edge cases" `Quick test_csv_oracle_edges;
+          Alcotest.test_case "datagen datasets match oracle" `Slow
+            test_csv_datagen_matches_oracle;
         ] );
       ( "split",
         [
@@ -559,6 +725,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_value_roundtrip; qcheck_column_encoding;
             qcheck_column_cardinality; qcheck_csv_roundtrip;
+            qcheck_csv_loader_matches_oracle; qcheck_csv_parse_matches_oracle;
             qcheck_group_paths_agree; qcheck_group_matches_reference;
             qcheck_group_histograms ] );
     ]

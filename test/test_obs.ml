@@ -302,6 +302,102 @@ let test_trace_does_not_change_output () =
            events))
     [ "pc.level"; "fill.sketch" ]
 
+(* ------------------------------------------------------------------ *)
+(* Library counters under concurrency *)
+
+module Frame = Dataframe.Frame
+module Group = Dataframe.Group
+module Validator = Guardrail.Validator
+
+(* The counters the libraries keep in [Metric.default]. *)
+let library_counters =
+  [ "ci.tests"; "ci.conservative"; "group.cache.hits"; "group.cache.misses";
+    "group.cache.extended"; "group.cache.rebuilt"; "vm.cache.hits";
+    "vm.cache.misses"; "vm.cache.advanced"; "vm.rows.validated" ]
+
+let counter_values () =
+  List.map (fun n -> Metric.counter_value (Metric.counter Metric.default n)) library_counters
+
+(* Bump every library counter once through its owner's public API: CI
+   tests (one conservative), a group cache miss, hit, extension and
+   rebuild, a bytecode cache miss, hit and advance, and validated
+   rows. Inputs are built first so that none of this runs before the
+   caller says go. *)
+let counter_workload () =
+  let frame = postal_frame () in
+  let grown = Frame.extend frame (postal_frame ()) in
+  let compiled =
+    Validator.compile
+      (Guardrail.Parse.prog (Frame.schema frame)
+         "GIVEN postal_code ON city HAVING IF postal_code = 94704 THEN city <- \"Berkeley\";")
+  in
+  let spec = Stat.Ci.make ~alpha:0.05 ~kx:2 ~ky:2 () in
+  let capped = Stat.Ci.make ~alpha:0.05 ~kx:2 ~ky:2 ~max_strata:1 () in
+  let xs = [| 0; 1; 0; 1 |] and ys = [| 0; 1; 1; 0 |] in
+  fun () ->
+    ignore (Stat.Ci.test spec xs ys [] []);
+    ignore (Stat.Ci.test capped xs ys [ xs ] [ 2 ]);
+    let cache = Group.Cache.of_frame frame in
+    ignore (Group.Cache.get cache [ 0 ]);
+    ignore (Group.Cache.get cache [ 0 ]);
+    ignore (Group.Cache.get (Group.Cache.advance cache grown) [ 0 ]);
+    ignore (Group.Cache.advance cache (postal_frame ()));
+    ignore (Validator.detect compiled frame);
+    ignore (Validator.detect compiled frame);
+    ignore (Validator.detect compiled grown)
+
+(* [domains] domains run [counter_workload] released at the same
+   instant, so the first use of each counter in a process is raced. *)
+let race_counters ~domains =
+  let work = List.init domains (fun _ -> counter_workload ()) in
+  let ready = Atomic.make 0 and go = Atomic.make false in
+  let spawned =
+    List.map
+      (fun w ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while not (Atomic.get go) do Domain.cpu_relax () done;
+            w ()))
+      work
+  in
+  while Atomic.get ready < domains do Domain.cpu_relax () done;
+  Atomic.set go true;
+  List.iter Domain.join spawned
+
+(* A counter's first use happens once per process, so the race is
+   re-run in fresh copies of this executable: with this variable set,
+   it races the counters and exits instead of running the suite. *)
+let race_child_var = "OBS_TEST_RACE_COUNTERS"
+
+let test_library_counters_concurrent () =
+  for _ = 1 to 20 do
+    let env = Array.append [| race_child_var ^ "=1" |] (Unix.environment ()) in
+    let pid =
+      Unix.create_process_env Sys.executable_name [| Sys.executable_name |] env
+        Unix.stdin Unix.stdout Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _, (Unix.WEXITED k | Unix.WSIGNALED k | Unix.WSTOPPED k) ->
+      Alcotest.failf "racing process ended with status %d" k
+  done;
+  (* and every bump is counted *)
+  let before = counter_values () in
+  race_counters ~domains:4;
+  let rises =
+    List.map2 (fun (name, b) a -> (name, a - b))
+      (List.combine library_counters before) (counter_values ())
+  in
+  List.iter (fun (name, r) -> Alcotest.(check bool) (name ^ " rose") true (r > 0)) rises;
+  Alcotest.(check int) "ci.tests, two per domain" 8 (List.assoc "ci.tests" rises);
+  Alcotest.(check int) "vm.cache.hits, one per domain" 4 (List.assoc "vm.cache.hits" rises)
+
+let () =
+  if Sys.getenv_opt race_child_var = Some "1" then begin
+    race_counters ~domains:2;
+    exit 0
+  end
+
 let () =
   Alcotest.run "obs"
     [
@@ -323,6 +419,8 @@ let () =
             test_histogram_bucket_boundaries;
           Alcotest.test_case "snapshot sorted, clear" `Quick
             test_snapshot_sorted_and_clear;
+          Alcotest.test_case "library counters under concurrency" `Quick
+            test_library_counters_concurrent;
         ] );
       ( "trace",
         [

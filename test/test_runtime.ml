@@ -128,6 +128,20 @@ let test_submit_after_shutdown_raises () =
   Alcotest.(check bool) "submit raises Stopped again" true
     (stopped (fun () -> ignore (Pool.submit pool (fun () -> 42))))
 
+let test_post_failures_counted () =
+  let pool = Pool.create ~size:2 () in
+  Pool.post pool (fun () -> ());
+  Pool.wait_idle pool;
+  Alcotest.(check int) "a job that returns is no failure" 0 (Pool.failures pool);
+  Pool.post pool (fun () -> failwith "boom");
+  Pool.wait_idle pool;
+  Alcotest.(check int) "a raising job counts once" 1 (Pool.failures pool);
+  (* a submitted job's exception goes to its future, not the count *)
+  let fut = Pool.submit pool (fun () -> failwith "to the future") in
+  (match Pool.await fut with _ -> () | exception Failure _ -> ());
+  Pool.shutdown pool;
+  Alcotest.(check int) "submit failures not counted" 1 (Pool.failures pool)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -144,5 +158,6 @@ let () =
           Alcotest.test_case "shutdown concurrent" `Quick test_shutdown_concurrent;
           Alcotest.test_case "submit after shutdown" `Quick
             test_submit_after_shutdown_raises;
+          Alcotest.test_case "post failures counted" `Quick test_post_failures_counted;
         ] );
     ]

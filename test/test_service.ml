@@ -632,7 +632,7 @@ let test_loopback_concurrent_clients () =
   (* STATS agrees with what the clients sent *)
   Service.Client.with_connection addr (fun c ->
       match Service.Client.call_exn c P.Stats with
-      | P.Stats_reply { commands; connections; _ } ->
+      | P.Stats_reply { commands; connections; rendered; _ } ->
         let count name =
           match List.find_opt (fun s -> s.P.command = name) commands with
           | Some s -> s.P.count
@@ -643,7 +643,9 @@ let test_loopback_concurrent_clients () =
         Alcotest.(check int) "no errors" 0
           (List.fold_left (fun n s -> n + s.P.errors) 0 commands);
         Alcotest.(check bool) "connections >= clients" true
-          (connections >= n_clients)
+          (connections >= n_clients);
+        Alcotest.(check bool) "render counts failed pool jobs" true
+          (contains ~needle:"pool: 0 failed job(s)" rendered)
       | _ -> Alcotest.fail "expected stats");
   Service.Server.stop server;
   Domain.join runner
